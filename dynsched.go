@@ -527,17 +527,10 @@ type ReplicateResult = sim.ReplicateResult
 // Replicate runs independent replications on a worker pool of
 // cfg.Parallel goroutines (0 = GOMAXPROCS) with distinct derived seeds
 // and aggregates the headline metrics. Results are bit-identical for
-// every pool size. It is a thin wrapper over ReplicateContext with a
-// background context.
+// every pool size. For cancellation, replicate a Scenario through
+// Scenario.Plan and Plan.Execute instead.
 func Replicate(cfg SimConfig, reps int, build func(rep int, seed int64) (ReplicateInput, error)) (*ReplicateResult, error) {
 	return sim.Replicate(context.Background(), cfg, reps, build)
-}
-
-// ReplicateContext is Replicate with cancellation/deadline support:
-// when ctx is cancelled mid-way it returns the completed replications
-// together with an error wrapping the context's error.
-func ReplicateContext(ctx context.Context, cfg SimConfig, reps int, build func(rep int, seed int64) (ReplicateInput, error)) (*ReplicateResult, error) {
-	return sim.Replicate(ctx, cfg, reps, build)
 }
 
 // SubSeed derives the seed of shard i from a base seed via a SplitMix64

@@ -139,9 +139,6 @@ func NewDense(name string, n int) *Dense {
 	return &Dense{name: name, w: w, threshold: 1}
 }
 
-// SetThreshold overrides the success threshold.
-func (d *Dense) SetThreshold(t float64) { d.threshold = t }
-
 // Set assigns W[e][e2]. It returns an error for out-of-range indices,
 // values outside [0,1], or attempts to change the unit diagonal.
 func (d *Dense) Set(e, e2 int, v float64) error {

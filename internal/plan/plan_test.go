@@ -152,14 +152,20 @@ func TestExecuteFirstErrorByIndex(t *testing.T) {
 
 // TestExecuteCancellation: a cancelled plan reports the completed
 // subset and the context error, and in-flight units see their derived
-// contexts cancelled.
+// contexts cancelled. Every unit but unit 0 waits until unit 0 has
+// cancelled the plan, so the bound holds however the scheduler
+// interleaves the two workers.
 func TestExecuteCancellation(t *testing.T) {
 	units := mkUnits(64)
 	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan struct{})
 	var done atomic.Int64
 	out, err := Execute(ctx, units, Options[int]{Parallel: 2}, func(uctx context.Context, u Unit) (int, error) {
 		if u.Index == 0 {
 			cancel()
+			close(cancelled)
+		} else {
+			<-cancelled
 		}
 		if n := done.Add(1); n > 8 {
 			// The pool must stop claiming units long before the end.

@@ -111,6 +111,20 @@ func TestFleetEndToEndByteIdentity(t *testing.T) {
 	if f.Leased != 0 || f.PendingUnits != 0 {
 		t.Errorf("lease table not empty after the run: %d leased, %d pending", f.Leased, f.PendingUnits)
 	}
+
+	// A single run is a one-unit plan, so the dispatch-only coordinator
+	// must lease it to a runner too — and serve the same bytes.
+	run := lineScenario("fleet-e2e-run", 2_000, 1)
+	_, refRun := submitScenario(t, plain, run)
+	refRunView := waitForState(t, plain, refRun.ID, StateDone)
+	_, runJob := submitScenario(t, coord, run)
+	runView := waitForState(t, coord, runJob.ID, StateDone)
+	if string(runView.Result) != string(refRunView.Result) {
+		t.Fatalf("fleet-run result is not byte-identical to the single-node run:\nfleet: %.200s\nlocal: %.200s", runView.Result, refRunView.Result)
+	}
+	if got := fleetHealth(t, coord).Merged; got != f.Merged+1 {
+		t.Errorf("fleet merged %d reports after the single run, want %d", got, f.Merged+1)
+	}
 }
 
 // TestFleetHybridCoordinator: with the default FleetLocal the

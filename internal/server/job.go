@@ -56,10 +56,12 @@ type Job struct {
 	cancelRequested bool
 	cancel          context.CancelFunc
 
-	// unitsTotal/unitsDone/unitsCached track a plan job's per-unit
-	// progress (zero for single-run jobs). unitsTotal is set before the
-	// job is visible and never changes; the other two advance under mu
-	// as units complete.
+	// unitsTotal/unitsDone/unitsCached track a multi-unit plan's
+	// per-unit progress. A single run is a one-unit plan whose unit is
+	// the job itself, so it reports slot-level progress instead and
+	// keeps all three at zero. unitsTotal is set before the job is
+	// visible and never changes; the other two advance under mu as
+	// units complete.
 	unitsTotal  int
 	unitsDone   int
 	unitsCached int
@@ -71,11 +73,9 @@ type Job struct {
 
 	// recovered marks a job restored from the journal after a restart;
 	// resumedFromSlot is the highest slot any of its simulations resumed
-	// from via an on-disk checkpoint. reps preserves the original
-	// submission's replication count for re-journaling.
+	// from via an on-disk checkpoint.
 	recovered       bool
 	resumedFromSlot int64
-	reps            int
 
 	// shutdownDrop marks a job hard-cancelled by a draining shutdown:
 	// its terminal state is NOT journaled, so the next boot recovers it.
@@ -87,10 +87,11 @@ type Job struct {
 	// touches it after construction; the queue send orders the accesses.
 	compiled *dynsched.CompiledScenario
 
-	// plan, when non-nil, marks a plan job (sweep, grid, replicate): the
-	// worker executes the units through the planner instead of a single
-	// simulation, consulting the result cache per unit unless noCache.
-	// Like compiled, only the one worker touches it after construction.
+	// plan is what the worker executes: every queued or recovered job
+	// carries one — a single run is a one-unit plan — and the planner
+	// consults the result cache per unit unless noCache. Like compiled,
+	// only the one worker touches it after construction, and it clears
+	// it once the run starts.
 	plan    *dynsched.Plan
 	noCache bool
 }
@@ -98,6 +99,17 @@ type Job struct {
 func newJob(id, hash string, sc dynsched.Scenario) *Job {
 	j := &Job{ID: id, Hash: hash, Scenario: sc, state: StateQueued}
 	j.cond = sync.NewCond(&j.mu)
+	return j
+}
+
+// newPlanJob builds a queued job that executes p. Only multi-unit
+// plans expose unit counters; a single run's one unit is the job.
+func newPlanJob(id, hash string, p *dynsched.Plan) *Job {
+	j := newJob(id, hash, p.Source)
+	j.plan = p
+	if p.Kind != dynsched.PlanRun {
+		j.unitsTotal = len(p.Units)
+	}
 	return j
 }
 

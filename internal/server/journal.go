@@ -1,15 +1,15 @@
 // The server's durable execution tier: a job journal and an on-disk
 // checkpoint store, both rooted in Config.JournalDir.
 //
-// The journal records job lifecycle events — the submitted spec, each
-// freshly-simulated unit, and the terminal state — as JSON payloads in
-// an append-only, CRC-framed record log (internal/journal). On
-// restart, New replays the log, restores terminal jobs to the
-// registry, and resubmits every job that never reached a terminal
-// state under its original ID. Recovery re-simulates only units whose
-// results never reached the content-addressed cache; the per-unit
-// cache lookup serves the rest, and the assembled result document is
-// byte-identical to an uninterrupted run's.
+// The journal records job lifecycle events — the submitted spec and
+// the terminal state — as JSON payloads in an append-only, CRC-framed
+// record log (internal/journal). On restart, New replays the log,
+// restores terminal jobs to the registry, and resubmits every job that
+// never reached a terminal state under its original ID. Recovery
+// re-simulates only units whose results never reached the
+// content-addressed cache; the per-unit cache lookup serves the rest,
+// and the assembled result document is byte-identical to an
+// uninterrupted run's.
 //
 // Deliberate asymmetry in what is journaled: a user cancellation is a
 // terminal outcome and is journaled, but a shutdown- or crash-time
@@ -25,6 +25,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,11 +41,11 @@ import (
 // which fields are meaningful:
 //
 //	submit    id, hash, spec, reps, noCache — a job entered the queue
-//	unit      id, index, hash — one plan unit's fresh result reached
-//	          the cache (cache-served units are not recorded; they need
-//	          no recovery)
 //	finish    id, state — the job reached a terminal state
 //	shutdown  (none) — the process drained and exited cleanly
+//
+// Older journals also hold per-unit "unit" records; replay skips them,
+// since recovery finds finished units through the cache.
 type journalRecord struct {
 	Op      string             `json:"op"`
 	ID      string             `json:"id,omitempty"`
@@ -52,7 +53,6 @@ type journalRecord struct {
 	Spec    *dynsched.Scenario `json:"spec,omitempty"`
 	Reps    int                `json:"reps,omitempty"`
 	NoCache bool               `json:"noCache,omitempty"`
-	Index   int                `json:"index,omitempty"`
 	State   State              `json:"state,omitempty"`
 }
 
@@ -63,7 +63,6 @@ type replayedJob struct {
 	spec    dynsched.Scenario
 	reps    int
 	noCache bool
-	units   int // fresh units journaled before the cut
 	state   State
 }
 
@@ -97,13 +96,6 @@ func (s *Server) journalSubmit(j *Job, reps int) {
 	}, true)
 }
 
-// journalUnit records one plan unit's fresh result reaching the cache.
-// Unit records are not synced: losing the tail of them costs only
-// re-simulating units whose results may nonetheless be in the cache.
-func (s *Server) journalUnit(j *Job, index int, hash string) {
-	_ = s.appendRecord(journalRecord{Op: "unit", ID: j.ID, Index: index, Hash: hash}, false)
-}
-
 // journalFinish records a job's terminal state.
 func (s *Server) journalFinish(j *Job, state State) {
 	_ = s.appendRecord(journalRecord{Op: "finish", ID: j.ID, State: state}, true)
@@ -133,10 +125,6 @@ func (s *Server) recover(dir string) error {
 			jobs[rec.ID] = &replayedJob{
 				id: rec.ID, hash: rec.Hash, spec: *rec.Spec,
 				reps: rec.Reps, noCache: rec.NoCache,
-			}
-		case "unit":
-			if rj, ok := jobs[rec.ID]; ok {
-				rj.units++
 			}
 		case "finish":
 			if rj, ok := jobs[rec.ID]; ok {
@@ -203,36 +191,29 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 // silently vanishing.
 func (s *Server) resubmit(rj *replayedJob) {
 	j := newJob(rj.id, rj.hash, rj.spec)
+	p, err := rj.spec.Plan(maxInt(rj.reps, 1))
+	if err == nil {
+		j = newPlanJob(rj.id, rj.hash, p)
+	}
 	j.recovered = true
 	j.noCache = rj.noCache
-	j.reps = rj.reps
-	p, err := rj.spec.Plan(maxInt(rj.reps, 1))
+	if err == nil {
+		j.publish(Event{Type: "queued"})
+		select {
+		case s.queue <- j:
+		default:
+			err = errors.New("queue full at startup")
+		}
+	}
+	s.register(j)
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = fmt.Sprintf("recovering job: %v", err)
 		j.publish(Event{Type: "failed", Error: j.errMsg})
-		s.register(j)
 		s.journalFinish(j, StateFailed)
 		s.markFinished(StateFailed)
 		return
 	}
-	if p.Kind != dynsched.PlanRun {
-		j.plan = p
-		j.unitsTotal = len(p.Units)
-	}
-	j.publish(Event{Type: "queued"})
-	select {
-	case s.queue <- j:
-	default:
-		j.state = StateFailed
-		j.errMsg = "recovering job: queue full at startup"
-		j.publish(Event{Type: "failed", Error: j.errMsg})
-		s.register(j)
-		s.journalFinish(j, StateFailed)
-		s.markFinished(StateFailed)
-		return
-	}
-	s.register(j)
 	s.recovered++
 	s.journalSubmit(j, rj.reps)
 }

@@ -111,6 +111,17 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if series["dynsched_sim_slot_seconds_count"] < 1 {
 		t.Error("no sampled slot timings recorded")
 	}
+
+	// A single run is a one-unit plan: it counts as exactly one more
+	// freshly-run unit with one more latency observation.
+	_, single := submitScenario(t, ts, lineScenario("metrics-e2e-run", 2_000, 1))
+	waitForState(t, ts, single.ID, StateDone)
+	after := scrapeMetrics(t, ts)
+	for _, name := range []string{`dynsched_plan_units_total{outcome="run"}`, "dynsched_plan_unit_seconds_count"} {
+		if got, want := after[name], series[name]+1; got != want {
+			t.Errorf("%s after a single run: %v, want %v", name, got, want)
+		}
+	}
 }
 
 // TestServerMetricsIsolated pins per-server registries: two servers in

@@ -342,3 +342,83 @@ func TestSingleRunResumesFromCheckpoint(t *testing.T) {
 	s2.Wait()
 	_ = s2.journal.Close()
 }
+
+// TestLegacyUnitRecordsRecovered pins that replay accepts journals
+// holding per-unit "unit" records, an older record kind the server
+// does not write: a sweep cut off after two such records recovers,
+// serves the unit whose result reached the cache from it, and
+// finishes byte-identical to an uninterrupted run.
+func TestLegacyUnitRecordsRecovered(t *testing.T) {
+	journalDir, cacheDir := t.TempDir(), t.TempDir()
+	sc := sweepScenario("legacy-journal", 2_000, 0.1, 0.2, 0.3)
+	want := planBaseline(t, sc)
+	p, err := sc.Plan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Unit 0's result reached the cache before the cut; unit 1's record
+	// made it into the journal but its result did not.
+	c, err := p.Units[0].Scenario.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewCache(0, cacheDir, 0).Put(p.Units[0].Hash, data)
+
+	jn, err := journal.Open(journalDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []map[string]any{
+		{"op": "submit", "id": "job-1", "hash": p.Hash(), "spec": sc, "reps": 1},
+		{"op": "unit", "id": "job-1", "index": 0, "hash": p.Units[0].Hash},
+		{"op": "unit", "id": "job-1", "index": 1, "hash": p.Units[1].Hash},
+	} {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.Append(payload, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Config{Workers: 1, JournalDir: journalDir, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatalf("legacy journal rejected: %v", err)
+	}
+	if srv.RecoveredJobs() != 1 {
+		t.Fatalf("recovered %d jobs, want 1", srv.RecoveredJobs())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv.Start(ctx)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	done := waitForState(t, ts, "job-1", StateDone)
+	if !done.Recovered || done.UnitsDone != 3 || done.UnitsCached != 1 {
+		t.Fatalf("recovered job view: %+v", done)
+	}
+	j, _ := srv.job("job-1")
+	j.mu.Lock()
+	got := append([]byte(nil), j.result...)
+	j.mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recovered result diverges from uninterrupted run:\n got %.300s\nwant %.300s", got, want)
+	}
+	cancel()
+	srv.Wait()
+	_ = srv.journal.Close()
+}

@@ -5,17 +5,24 @@
 // the canonical spec hash so identical submissions are served from
 // memory (or a disk spill directory) without re-simulating.
 //
+// Every job takes one execution path: the submission decomposes into a
+// dynsched.Plan — a single run is a one-unit plan — and the worker
+// executes it through Plan.Execute. Every unit therefore consults the
+// result cache by its own content address, may be leased to a fleet
+// runner, checkpoints into the journal directory, and counts in the
+// plan metrics. A single run streams slot-level "progress" events and
+// returns its unit's SimResult under the scenario hash; a sweep, grid
+// or replicate plan streams "unit" events with unit counters and
+// returns the assembled PlanResult under the plan hash.
+//
 // The API surface (all under /v1):
 //
 //	POST   /v1/jobs              submit a spec ({"scenario": {...}}) or a
 //	                             registered name ({"name": "..."}); 202 on
 //	                             enqueue, 200 on a cache hit, 503 when the
 //	                             queue is full. A sweep/grid spec or
-//	                             "reps" > 1 submits an execution plan:
-//	                             the job decomposes into per-unit
-//	                             simulations, each consulting the result
-//	                             cache by its own content address, with
-//	                             "unit" completion events and
+//	                             "reps" > 1 submits a multi-unit plan,
+//	                             with "unit" completion events and
 //	                             unitsTotal/unitsDone/unitsCached
 //	                             counters in the job view
 //	GET    /v1/jobs              list jobs
@@ -57,9 +64,10 @@ type Config struct {
 	// CacheDiskMax bounds the spill directory to this many entries,
 	// evicting oldest-mtime files first (0 = unbounded).
 	CacheDiskMax int
-	// ProgressEvery is the progress-event period in slots (0 = one
-	// twentieth of each job's run length). An explicit period is floored
-	// so no job emits more than maxProgressEvents progress events.
+	// ProgressEvery is a single run's progress-event period in slots
+	// (0 = one twentieth of its run length). An explicit period is
+	// floored so no run emits more than maxProgressEvents progress
+	// events. Multi-unit plans report per unit instead.
 	ProgressEvery int64
 	// MaxJobs bounds the job registry (0 = 4096); terminal jobs beyond
 	// it are forgotten oldest-first. Results stay in the cache.
@@ -93,8 +101,8 @@ type Config struct {
 	// units: 0 keeps the planner's resolved pool (the scenario's
 	// Sim.Parallel, GOMAXPROCS by default), a positive value pins the
 	// local slot count, and a negative value makes the coordinator
-	// dispatch-only — every plan unit must complete through a runner,
-	// so a fleet must be attached.
+	// dispatch-only — every unit, a single run's included, must
+	// complete through a runner, so a fleet must be attached.
 	FleetLocal int
 }
 
@@ -321,9 +329,8 @@ drainQueue:
 }
 
 // runJob executes one queued job end to end: transition to running,
-// then either a single simulation with a progress observer or a full
-// execution plan with per-unit cache consultation, publishing into the
-// job's event stream; finally cache and publish the result document.
+// execute the job's plan (runPlan caches the result document), then
+// publish the terminal event.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -347,19 +354,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.mu.Unlock()
 	}()
 
-	var data []byte
-	var err error
-	isPlan := j.plan != nil
-	if isPlan {
-		data, err = s.runPlan(jctx, j)
-	} else {
-		var res *dynsched.SimResult
-		if res, err = s.simulate(jctx, j); err == nil {
-			if data, err = json.Marshal(res); err != nil {
-				err = fmt.Errorf("marshaling result: %v", err)
-			}
-		}
-	}
+	data, err := s.runPlan(jctx, j)
 	if err != nil {
 		j.mu.Lock()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -384,11 +379,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.markFinished(StateFailed)
 		return
 	}
-	s.cache.Put(j.Hash, data)
-	if s.journal != nil && !isPlan {
-		s.dropCheckpoint(j.Hash)
-	}
-
 	j.mu.Lock()
 	j.state = StateDone
 	j.result = data
@@ -406,26 +396,34 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 // The job-view counters still advance for every unit.
 const maxUnitEvents = 512
 
-// runPlan executes a plan job: every unit goes through the
-// content-addressed cache (lookup before running, store after, unless
-// the submission asked for noCache), completions stream into the
-// job's event log as "unit" events with monotonic counters, and the
-// assembled PlanResult document is returned for the plan-level cache
-// entry. Unit workers run on the planner's pool, sized by the
-// scenario's Sim.Parallel (0 = GOMAXPROCS). Plan jobs report progress
-// at unit granularity only — the slot-level progress observer (and
-// -progress-every) applies to single-run jobs, where there is exactly
-// one simulation to watch.
+// maxProgressEvents bounds a single run's share of the event log:
+// however small the configured period, a run emits at most this many
+// progress events, so a billion-slot submission cannot grow its
+// retained event log (and every later /events replay) without bound.
+const maxProgressEvents = 512
+
+// runPlan executes the job's plan and returns its result document,
+// cached under the job hash. Every unit consults the cache (unless
+// noCache), may be leased to the fleet, and checkpoints into the
+// journal directory. A single run streams slot-level progress — only
+// while its unit runs here, not on a runner — and its document is the
+// unit's SimResult, encoded once in Store and cached once under the
+// unit hash, which is the job hash. Other plans stream "unit" events
+// and return the PlanResult, cached under the plan hash.
 func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
-	p := j.plan
-	j.plan = nil // single-run payloads; don't retain them past the run
-	compiled := j.compiled
-	j.compiled = nil
-	stride := (len(p.Units) + maxUnitEvents - 1) / maxUnitEvents
+	p, compiled := j.plan, j.compiled
+	j.plan, j.compiled = nil, nil // used once; don't retain them past the run
+	single := p.Kind == dynsched.PlanRun
+	var doc []byte // a single run's document, from Store or Lookup
+	var docErr error
 	opts := dynsched.ExecOptions{
 		Metrics: s.metrics.plan,
 		Observers: func(u dynsched.PlanUnit) []dynsched.SimObserver {
-			return []dynsched.SimObserver{s.metrics.sim.NewObserver(0)}
+			engine := s.metrics.sim.NewObserver(0)
+			if single {
+				return []dynsched.SimObserver{s.progressObserver(j), engine}
+			}
+			return []dynsched.SimObserver{engine}
 		},
 		Compiled: func(u dynsched.PlanUnit) *dynsched.CompiledScenario {
 			if u.Index == 0 {
@@ -434,39 +432,21 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			return nil
 		},
 		Store: func(u dynsched.PlanUnit, res *dynsched.SimResult) {
-			if data, err := json.Marshal(res); err == nil {
-				s.cache.Put(u.Hash, data)
-				if s.journal != nil {
-					s.journalUnit(j, u.Index, u.Hash)
-					s.dropCheckpoint(u.Hash)
-				}
+			data, err := json.Marshal(res)
+			if single {
+				doc, docErr = data, err
 			}
-		},
-		OnUnit: func(u dynsched.PlanUnit, cached bool, err error, prog dynsched.PlanProgress) {
 			if err != nil {
-				// The terminal failed/cancelled event carries the outcome;
-				// per-unit errors are not separate stream entries.
 				return
 			}
-			j.mu.Lock()
-			j.unitsDone, j.unitsCached = prog.Done, prog.Cached
-			if prog.Done%stride != 0 && prog.Done != prog.Total {
-				// Thinned out of the stream; the view's counter lets
-				// clients report how many completions were elided.
-				j.eventsDropped++
-			} else {
-				j.publishLocked(Event{Type: "unit", Unit: &UnitEvent{
-					Index:       u.Index,
-					Hash:        u.Hash,
-					Coords:      u.Coords,
-					Cached:      cached,
-					UnitsDone:   prog.Done,
-					UnitsCached: prog.Cached,
-					UnitsTotal:  prog.Total,
-				}})
+			s.cache.Put(u.Hash, data)
+			if s.journal != nil {
+				s.dropCheckpoint(u.Hash)
 			}
-			j.mu.Unlock()
 		},
+	}
+	if !single {
+		opts.OnUnit = unitEvents(j, len(p.Units))
 	}
 	if !j.noCache {
 		opts.Lookup = func(u dynsched.PlanUnit) (*dynsched.SimResult, bool) {
@@ -477,6 +457,9 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			var res dynsched.SimResult
 			if err := json.Unmarshal(data, &res); err != nil {
 				return nil, false
+			}
+			if single {
+				doc = data
 			}
 			return &res, true
 		}
@@ -526,34 +509,63 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(pr)
+	if single {
+		if docErr != nil {
+			return nil, fmt.Errorf("marshaling result: %v", docErr)
+		}
+		return doc, nil
+	}
+	data, err := json.Marshal(pr)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.Put(j.Hash, data)
+	return data, nil
 }
 
-// maxProgressEvents bounds one job's share of the event log: however
-// small the configured period, a job emits at most this many progress
-// events, so a billion-slot submission cannot grow its retained event
-// log (and every later /events replay) without bound.
-const maxProgressEvents = 512
-
-// simulate runs the job's scenario — reusing the submit-time
-// compilation when present — with a progress observer that publishes
-// into the job's event stream.
-func (s *Server) simulate(ctx context.Context, j *Job) (*dynsched.SimResult, error) {
-	c := j.compiled
-	j.compiled = nil // the components are single-run; don't retain them
-	if c == nil {
-		var err error
-		if c, err = j.Scenario.Compile(); err != nil {
-			return nil, err
+// unitEvents returns the OnUnit hook that streams a plan job's unit
+// completions into its event log, thinned to at most maxUnitEvents.
+func unitEvents(j *Job, total int) func(dynsched.PlanUnit, bool, error, dynsched.PlanProgress) {
+	stride := (total + maxUnitEvents - 1) / maxUnitEvents
+	return func(u dynsched.PlanUnit, cached bool, err error, prog dynsched.PlanProgress) {
+		if err != nil {
+			// The terminal failed/cancelled event carries the outcome;
+			// per-unit errors are not separate stream entries.
+			return
 		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		j.unitsDone, j.unitsCached = prog.Done, prog.Cached
+		if prog.Done%stride != 0 && prog.Done != prog.Total {
+			// Thinned out of the stream; the view's counter lets
+			// clients report how many completions were elided.
+			j.eventsDropped++
+			return
+		}
+		j.publishLocked(Event{Type: "unit", Unit: &UnitEvent{
+			Index:       u.Index,
+			Hash:        u.Hash,
+			Coords:      u.Coords,
+			Cached:      cached,
+			UnitsDone:   prog.Done,
+			UnitsCached: prog.Cached,
+			UnitsTotal:  prog.Total,
+		}})
 	}
+}
+
+// progressObserver streams a single run's slot-level progress into
+// the job's event log every ProgressEvery slots (floored so the run
+// emits at most maxProgressEvents events).
+func (s *Server) progressObserver(j *Job) dynsched.SimObserver {
+	slots := j.Scenario.Sim.Slots
 	every := s.cfg.ProgressEvery
 	// Ceil division: a floor-divided period would admit up to 2x-1 the
 	// intended event count for slot counts just above the cap.
-	if floor := (j.Scenario.Sim.Slots + maxProgressEvents - 1) / maxProgressEvents; every > 0 && every < floor {
+	if floor := (slots + maxProgressEvents - 1) / maxProgressEvents; every > 0 && every < floor {
 		every = floor
 	}
-	progress := sim.NewProgressObserver(j.Scenario.Sim.Slots, every, func(p sim.Progress) {
+	return sim.NewProgressObserver(slots, every, func(p sim.Progress) {
 		if p.Done {
 			// The terminal done/cancelled/failed event carries the
 			// outcome; a trailing progress snapshot would race it.
@@ -562,82 +574,26 @@ func (s *Server) simulate(ctx context.Context, j *Job) (*dynsched.SimResult, err
 		snap := p
 		j.publish(Event{Type: "progress", Progress: &snap})
 	})
-	c.Observers = append(c.Observers, progress, s.metrics.sim.NewObserver(0))
-	if s.journal != nil && s.cfg.CheckpointEvery > 0 &&
-		sim.SupportsCheckpoint(c.Model, c.Process, c.Protocol) {
-		spec := &sim.CheckpointSpec{
-			Every: s.cfg.CheckpointEvery,
-			Sink:  func(cp *sim.Checkpoint) error { return s.saveCheckpoint(j.Hash, cp) },
-		}
-		if cp := s.loadCheckpoint(j.Hash); cp != nil {
-			spec.Resume = cp
-			j.mu.Lock()
-			j.resumedFromSlot = cp.Slot
-			j.mu.Unlock()
-		}
-		c.Config.Checkpoint = spec
-	}
-	return c.Run(ctx)
 }
 
-// submit registers and enqueues a job for the scenario, serving it
-// from the result cache instead when a bit-identical spec has already
-// run (unless noCache). compiled, when non-nil, is handed to the
-// worker so the spec is not compiled twice. It returns the job and
-// whether it was served from cache; errQueueFull when the queue is at
-// capacity.
-func (s *Server) submit(sc dynsched.Scenario, compiled *dynsched.CompiledScenario, noCache bool) (*Job, bool, error) {
-	hash := sc.Hash()
+// submit registers and enqueues a job for the plan, serving its
+// document from the result cache instead when the identical work has
+// already run (unless noCache — then every unit simulates afresh too).
+// Per-unit cache consultation happens in the worker; a miss here with
+// full per-unit hits still runs zero simulations. compiled, when
+// non-nil, is unit 0's submit-time compilation, handed to the worker
+// so it is not redone. It returns the job and whether it was served
+// from cache; errQueueFull when the queue is at capacity.
+func (s *Server) submit(p *dynsched.Plan, compiled *dynsched.CompiledScenario, noCache bool) (*Job, bool, error) {
+	hash := docHash(p)
 	if !noCache {
 		if data, ok := s.cache.Get(hash); ok {
-			j := newJob(s.allocID(), hash, sc)
+			j := newPlanJob(s.allocID(), hash, p)
+			j.plan = nil // served, never run
 			j.state = StateDone
 			j.cached = true
 			j.result = data
-			j.publish(Event{Type: "done", Cached: true})
-			s.register(j)
-			s.metrics.jobsSubmitted.With(string(dynsched.PlanRun)).Inc()
-			s.markFinished(StateDone)
-			return j, true, nil
-		}
-	}
-	if s.isDraining() {
-		return nil, false, errQueueFull
-	}
-	j := newJob(s.allocID(), hash, sc)
-	j.compiled = compiled
-	j.noCache = noCache
-	j.reps = 1
-	j.publish(Event{Type: "queued"})
-	select {
-	case s.queue <- j:
-	default:
-		return nil, false, errQueueFull
-	}
-	s.register(j)
-	s.journalSubmit(j, 1)
-	s.metrics.jobsSubmitted.With(string(dynsched.PlanRun)).Inc()
-	return j, false, nil
-}
-
-// submitPlan registers and enqueues a plan job (sweep, grid or
-// replicate), serving the assembled document from the plan-level cache
-// when the identical plan already ran (unless noCache — then every
-// unit simulates afresh too). Per-unit cache consultation happens in
-// the worker; a plan-level miss with full per-unit hits still runs
-// zero simulations. compiled, when non-nil, is unit 0's submit-time
-// compilation, handed to the worker so it is not redone.
-func (s *Server) submitPlan(p *dynsched.Plan, compiled *dynsched.CompiledScenario, noCache bool) (*Job, bool, error) {
-	hash := p.Hash()
-	if !noCache {
-		if data, ok := s.cache.Get(hash); ok {
-			j := newJob(s.allocID(), hash, p.Source)
-			j.state = StateDone
-			j.cached = true
-			j.result = data
-			j.unitsTotal = len(p.Units)
-			j.unitsDone = len(p.Units)
-			j.unitsCached = len(p.Units)
+			j.unitsDone, j.unitsCached = j.unitsTotal, j.unitsTotal
 			j.publish(Event{Type: "done", Cached: true})
 			s.register(j)
 			s.metrics.jobsSubmitted.With(string(p.Kind)).Inc()
@@ -648,12 +604,9 @@ func (s *Server) submitPlan(p *dynsched.Plan, compiled *dynsched.CompiledScenari
 	if s.isDraining() {
 		return nil, false, errQueueFull
 	}
-	j := newJob(s.allocID(), hash, p.Source)
-	j.plan = p
+	j := newPlanJob(s.allocID(), hash, p)
 	j.compiled = compiled
 	j.noCache = noCache
-	j.reps = p.Reps
-	j.unitsTotal = len(p.Units)
 	j.publish(Event{Type: "queued"})
 	select {
 	case s.queue <- j:
@@ -664,6 +617,18 @@ func (s *Server) submitPlan(p *dynsched.Plan, compiled *dynsched.CompiledScenari
 	s.journalSubmit(j, p.Reps)
 	s.metrics.jobsSubmitted.With(string(p.Kind)).Inc()
 	return j, false, nil
+}
+
+// docHash is the content address of the plan's result document. A
+// single run's document is its one unit's SimResult, so it lives under
+// the unit hash — Scenario.Hash() of the submitted spec, shared with
+// every other plan's identical unit. Any other plan's document is the
+// assembled PlanResult, under the plan hash.
+func docHash(p *dynsched.Plan) string {
+	if p.Kind == dynsched.PlanRun {
+		return p.Units[0].Hash
+	}
+	return p.Hash()
 }
 
 // isDraining reports whether Drain has begun; draining servers reject
@@ -704,13 +669,6 @@ func (s *Server) register(j *Job) {
 		kept = append(kept, id)
 	}
 	s.order = kept
-}
-
-// jobCount returns the number of registered jobs.
-func (s *Server) jobCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
 }
 
 // job looks a registered job up.

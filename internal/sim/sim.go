@@ -143,14 +143,6 @@ func (r *Result) FairnessIndex() float64 {
 	return sum * sum / (float64(n) * sumSq)
 }
 
-// Throughput returns delivered packets per slot.
-func (r *Result) Throughput() float64 {
-	if r.Slots == 0 {
-		return 0
-	}
-	return float64(r.Delivered) / float64(r.Slots)
-}
-
 // cancelCheckMask throttles the per-slot context poll: the context is
 // consulted every 1024 slots, so cancellation lands within microseconds
 // of wall-clock while the hot loop stays branch-cheap.
