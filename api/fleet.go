@@ -121,8 +121,12 @@ type HeartbeatResponse struct {
 type FleetHealth struct {
 	// Runners is the number of active (recently heard-from) runners.
 	Runners int `json:"runners"`
-	// PendingUnits is how many plan units are parked awaiting a lease.
+	// PendingUnits is how many plan units are parked awaiting an
+	// executor or a lease.
 	PendingUnits int `json:"pendingUnits"`
+	// Local is the coordinator's in-process executor count; 0 means
+	// dispatch-only, so pending units wait for runners alone.
+	Local int `json:"local"`
 	// Leased is how many units are currently out on a lease.
 	Leased int `json:"leased"`
 	// LeasedTotal counts every lease grant since boot; ReLeased counts

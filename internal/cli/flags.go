@@ -34,9 +34,12 @@ func RegisterWorkloadFlags(fs *flag.FlagSet, o *Options) {
 }
 
 // ServerOptions mirror cmd/dynschedd's flags: where to listen and how
-// the job queue, worker pool and result cache are sized.
+// the job queue, job workers, executors and result cache are sized.
 type ServerOptions struct {
-	Addr          string
+	Addr string
+	// Workers bounds how many jobs a coordinator runs at once
+	// (FleetLocal sizes its simulation executors); on a runner (-join)
+	// it is the executor count.
 	Workers       int
 	QueueDepth    int
 	CacheEntries  int
@@ -76,9 +79,9 @@ type ServerOptions struct {
 	LeaseExpiry time.Duration
 	// FleetBatchMax caps one fleet lease grant (0 = 64 units).
 	FleetBatchMax int
-	// FleetLocal sizes the coordinator's own share of plan-unit
-	// execution: 0 = the planner's resolved pool, >0 pins the local
-	// slot count, <0 = dispatch-only (every unit must run on a runner).
+	// FleetLocal is the coordinator's in-process executor count, shared
+	// by all jobs: 0 = all CPUs, <0 = none, dispatch-only (every unit
+	// must run on a runner).
 	FleetLocal int
 }
 
@@ -86,7 +89,7 @@ type ServerOptions struct {
 // writing into o. Callers set the defaults by pre-filling o.
 func RegisterServerFlags(fs *flag.FlagSet, o *ServerOptions) {
 	fs.StringVar(&o.Addr, "addr", o.Addr, "HTTP listen address")
-	fs.IntVar(&o.Workers, "workers", o.Workers, "simulation worker pool size (0 = all CPUs)")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent job bound on a coordinator, simulation executors on a runner (0 = all CPUs)")
 	fs.IntVar(&o.QueueDepth, "queue", o.QueueDepth, "bounded job queue depth; submissions beyond it get 503")
 	fs.IntVar(&o.CacheEntries, "cache", o.CacheEntries, "in-memory result cache entries (0 = default 256)")
 	fs.StringVar(&o.CacheDir, "cache-dir", o.CacheDir, "spill cached results to this directory (empty = memory only)")
@@ -101,7 +104,7 @@ func RegisterServerFlags(fs *flag.FlagSet, o *ServerOptions) {
 	fs.StringVar(&o.RunnerID, "runner-id", o.RunnerID, "fleet roster name for this runner with -join (empty = host.pid)")
 	fs.DurationVar(&o.LeaseExpiry, "lease-expiry", o.LeaseExpiry, "fleet lease lifetime; a runner silent for this long is presumed dead and its units are re-granted (0 = 15s)")
 	fs.IntVar(&o.FleetBatchMax, "batch-max", o.FleetBatchMax, "maximum plan units per fleet lease grant (0 = 64)")
-	fs.IntVar(&o.FleetLocal, "fleet-local", o.FleetLocal, "coordinator's own plan-unit execution slots: 0 = the planner's pool, >0 pins the count, negative = dispatch-only")
+	fs.IntVar(&o.FleetLocal, "fleet-local", o.FleetLocal, "coordinator's in-process plan-unit executors, shared by all jobs: 0 = all CPUs, negative = none (dispatch-only)")
 }
 
 // SignalContext returns a context cancelled by SIGINT/SIGTERM. The

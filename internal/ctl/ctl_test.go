@@ -316,6 +316,11 @@ func TestDiagnoseHeuristics(t *testing.T) {
 		if fs := Diagnose(h, Metrics{}, nil, nil); names(fs)["runner-starved"] {
 			t.Fatalf("runner-starved fired with a live runner: %+v", fs)
 		}
+		// With local executors the parked units are local backlog.
+		h.Fleet.Runners, h.Fleet.Local = 0, 2
+		if fs := Diagnose(h, Metrics{}, nil, nil); names(fs)["runner-starved"] {
+			t.Fatalf("runner-starved fired with local executors: %+v", fs)
+		}
 	})
 	t.Run("lease-thrash", func(t *testing.T) {
 		h := api.Health{QueueCapacity: 8, Fleet: &api.FleetHealth{

@@ -14,10 +14,10 @@ type Metrics struct {
 	UnitsRun    *metrics.Counter
 	UnitsCached *metrics.Counter
 	UnitsFailed *metrics.Counter
-	// UnitsDelegated counts units completed through Options.Delegate —
-	// executed by a remote runner rather than the local pool. Their
+	// UnitsDelegated counts units Options.Dispatch completed without
+	// calling their run closure — executed by a remote runner. Their
 	// wall time (queueing and network included) is deliberately kept
-	// out of UnitSeconds, which measures local execution cost only: a
+	// out of UnitSeconds, which measures runs in this process only: a
 	// runner's batch controller sizes leases from its own histogram.
 	UnitsDelegated *metrics.Counter
 	UnitSeconds    *metrics.Histogram
@@ -27,20 +27,22 @@ type Metrics struct {
 // milliseconds, full-length sweep units in seconds to minutes.
 var unitSecondsBuckets = metrics.ExpBuckets(0.001, 2, 20)
 
+const unitsHelp = "Plan units by outcome: run fresh here, delegated to a fleet runner, served from cache, or failed."
+
 // NewMetrics registers the planner instruments on r (idempotent).
 func NewMetrics(r *metrics.Registry) *Metrics {
 	return &Metrics{
-		UnitsRun:       r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("run"),
-		UnitsCached:    r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("cached"),
-		UnitsFailed:    r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("failed"),
-		UnitsDelegated: r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("delegated"),
+		UnitsRun:       r.CounterVec("dynsched_plan_units_total", unitsHelp, "outcome").With("run"),
+		UnitsCached:    r.CounterVec("dynsched_plan_units_total", unitsHelp, "outcome").With("cached"),
+		UnitsFailed:    r.CounterVec("dynsched_plan_units_total", unitsHelp, "outcome").With("failed"),
+		UnitsDelegated: r.CounterVec("dynsched_plan_units_total", unitsHelp, "outcome").With("delegated"),
 		UnitSeconds:    r.Histogram("dynsched_plan_unit_seconds", "Wall time of freshly-executed plan units (cache hits excluded).", unitSecondsBuckets),
 	}
 }
 
 // observeDelegated records one unit completed by a remote runner (or
 // its failure — remote failures count like local ones).
-func (m *Metrics) observeDelegated(_ time.Duration, err error) {
+func (m *Metrics) observeDelegated(err error) {
 	if m == nil {
 		return
 	}

@@ -9,7 +9,9 @@
 // decomposes a Scenario into units (single run, replications, sweep
 // and grid points) and aggregates the typed results; internal/server
 // plugs its content-addressed result cache into the Lookup/OnUnit
-// hooks. Everything execution-shaped — pool sizing, cancellation,
+// hooks and its lease table into Dispatch, where the pool's workers
+// only wait while the server's executors and fleet runners do the
+// work. Everything execution-shaped — pool sizing, cancellation,
 // deterministic error selection, done/cached accounting — lives here
 // exactly once.
 //
@@ -25,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -69,31 +70,14 @@ type Options[T any] struct {
 	// failed) and fresh-run wall time into the bundle's instruments.
 	Metrics *Metrics
 
-	// Delegate, when set, may execute a unit outside the local pool —
-	// dynschedd's coordinator hands units to its remote runner fleet
-	// through this hook. It is called from a pool worker before local
-	// execution and must do exactly one of two things:
-	//
-	//   - execute the unit elsewhere and return (value, true, err) —
-	//     the worker records the outcome without running fn; or
-	//   - receive one token from local (the local-execution semaphore)
-	//     and return (zero, false, nil) — the worker runs fn on this
-	//     goroutine and puts the token back afterwards.
-	//
-	// The token protocol is what lets a hybrid coordinator overlap
-	// local and remote execution without oversubscribing its own CPUs:
-	// Parallel bounds total in-flight units (local + delegated), while
-	// the semaphore bounds how many of them execute locally. A
-	// delegate that parks a unit for a remote runner should keep
-	// selecting on local so the unit can fall back to an idle local
-	// slot while it waits. Cancellation is reported as
-	// (zero, true, ctx.Err()).
-	Delegate func(ctx context.Context, u Unit, local chan struct{}) (T, bool, error)
-	// LocalParallel sizes the local-execution semaphore when Delegate
-	// is set: 0 means Parallel's resolved value, negative means no
-	// local execution at all (a dispatch-only coordinator — every unit
-	// must complete through Delegate). Ignored without Delegate.
-	LocalParallel int
+	// Dispatch, when set, receives every unit Lookup did not serve,
+	// with the closure that runs it, and returns either run's result or
+	// one computed elsewhere. dynschedd queues the closure in its lease
+	// table, where its own executors call it and fleet runners lease
+	// the unit instead. A dispatcher that calls run must return only
+	// after run has returned. The unit counts as "run" when run was
+	// called and as "delegated" otherwise.
+	Dispatch func(ctx context.Context, u Unit, run func(context.Context) (T, error)) (T, error)
 }
 
 // Outcome records every unit's fate, indexed by Unit.Index. Values may
@@ -189,47 +173,34 @@ func Execute[T any](ctx context.Context, units []Unit, opts Options[T], run func
 		pending = append(pending, i)
 	}
 
-	// The local-execution semaphore (Delegate only): Parallel bounds
-	// total in-flight units, these tokens bound how many run fn locally.
-	var localSem chan struct{}
-	if opts.Delegate != nil {
-		lp := opts.LocalParallel
-		if lp == 0 {
-			if lp = opts.Parallel; lp <= 0 {
-				lp = runtime.GOMAXPROCS(0)
-			}
-		}
-		if lp < 0 {
-			lp = 0 // dispatch-only: no tokens, units only complete remotely
-		}
-		localSem = make(chan struct{}, lp+1) // +1 headroom for a token bounced back mid-race
-		for t := 0; t < lp; t++ {
-			localSem <- struct{}{}
-		}
-	}
-
 	sim.ForEachCtx(ctx, len(pending), opts.Parallel, func(k int) {
 		i := pending[k]
 		// A per-unit context: cancelling the plan context cancels every
 		// in-flight unit, and a unit's own resources are released as soon
 		// as it returns.
 		uctx, cancel := context.WithCancel(ctx)
-		if opts.Delegate != nil {
+		defer cancel()
+		ran := false
+		var took time.Duration
+		runHere := func(rctx context.Context) (T, error) {
+			ran = true
 			started := time.Now()
-			v, ok, err := opts.Delegate(uctx, units[i], localSem)
-			if ok {
-				cancel()
-				opts.Metrics.observeDelegated(time.Since(started), err)
-				finish(i, v, false, err)
-				return
-			}
-			// The delegate took a local token; run here and return it.
-			defer func() { localSem <- struct{}{} }()
+			v, err := run(rctx, units[i])
+			took = time.Since(started)
+			return v, err
 		}
-		started := time.Now()
-		v, err := run(uctx, units[i])
-		cancel()
-		opts.Metrics.observeRun(time.Since(started), err)
+		var v T
+		var err error
+		if opts.Dispatch != nil {
+			v, err = opts.Dispatch(uctx, units[i], runHere)
+		} else {
+			v, err = runHere(uctx)
+		}
+		if ran {
+			opts.Metrics.observeRun(took, err)
+		} else {
+			opts.Metrics.observeDelegated(err)
+		}
 		finish(i, v, false, err)
 	})
 

@@ -158,13 +158,12 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 
 	type outcome struct {
 		res *dynsched.SimResult
-		ok  bool
 		err error
 	}
 	got := make(chan outcome, 1)
 	go func() {
-		res, ok, err := lm.offer(context.Background(), &fleetUnit{pu: pu}, nil)
-		got <- outcome{res, ok, err}
+		res, err := lm.offer(context.Background(), &fleetUnit{pu: pu})
+		got <- outcome{res, err}
 	}()
 	waitFor(t, func() bool { _, p, _ := lm.occupancy(); return p == 1 })
 
@@ -211,7 +210,7 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	o := <-got
-	if !o.ok || o.err != nil || o.res == nil {
+	if o.err != nil || o.res == nil {
 		t.Fatalf("offer outcome %+v, want merged result", o)
 	}
 	// A duplicate of the consumed lease is stale too.
@@ -235,7 +234,7 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 func TestFleetLeaseEscapeHatch(t *testing.T) {
 	lm := newLeaseManager(time.Hour, 64, nil)
 	pu := dynsched.PlanUnit{Hash: "unit-esc", Scenario: lineScenario("esc", 100, 1)}
-	go lm.offer(context.Background(), &fleetUnit{pu: pu}, nil)
+	go lm.offer(context.Background(), &fleetUnit{pu: pu})
 	waitFor(t, func() bool { _, p, _ := lm.occupancy(); return p == 1 })
 
 	if g, _ := lm.lease(nil, "solo", 8, 0); len(g) != 1 {
@@ -245,6 +244,68 @@ func TestFleetLeaseEscapeHatch(t *testing.T) {
 	g, _ := lm.lease(nil, "solo", 8, 0)
 	if len(g) != 1 {
 		t.Fatalf("sole surviving runner was refused its expired unit (%d granted)", len(g))
+	}
+}
+
+// TestFleetTakeCancelWaitsForLocalRun pins the lease table's local
+// path: an executor takes the oldest pending unit without a lease, and
+// cancelling the plan withdraws the unit still pending while the taken
+// one's offer returns only after its run has stopped, with the run's
+// partial result and error.
+func TestFleetTakeCancelWaitsForLocalRun(t *testing.T) {
+	lm := newLeaseManager(time.Hour, 64, nil)
+	partial := &dynsched.SimResult{}
+	stopped := make(chan struct{})
+	blockUntilCancelled := func(ctx context.Context) (*dynsched.SimResult, error) {
+		<-ctx.Done()
+		time.Sleep(10 * time.Millisecond) // the run winds down after the cut
+		close(stopped)
+		return partial, ctx.Err()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		res *dynsched.SimResult
+		err error
+		ran bool // the taken unit's run had stopped when offer returned
+	}
+	offer := func(hash string, got chan<- outcome) {
+		pu := dynsched.PlanUnit{Hash: hash, Scenario: lineScenario(hash, 100, 1)}
+		res, err := lm.offer(ctx, &fleetUnit{pu: pu, run: blockUntilCancelled})
+		ran := false
+		select {
+		case <-stopped:
+			ran = true
+		default:
+		}
+		got <- outcome{res, err, ran}
+	}
+	gotA, gotB := make(chan outcome, 1), make(chan outcome, 1)
+	go offer("unit-a", gotA)
+	waitFor(t, func() bool { _, p, _ := lm.occupancy(); return p == 1 })
+	go offer("unit-b", gotB)
+	waitFor(t, func() bool { _, p, _ := lm.occupancy(); return p == 2 })
+
+	fu := lm.take(nil)
+	if fu.pu.Hash != "unit-a" {
+		t.Fatalf("take returned %s, want the oldest pending unit-a", fu.pu.Hash)
+	}
+	if _, p, l := lm.occupancy(); p != 1 || l != 0 {
+		t.Fatalf("after take: %d pending, %d leased, want 1/0", p, l)
+	}
+	go fu.runHere()
+	cancel()
+
+	a := <-gotA
+	if !a.ran || a.res != partial || a.err != context.Canceled {
+		t.Fatalf("taken unit's offer: ran=%v res=%p err=%v, want stopped run, its partial result and context.Canceled", a.ran, a.res, a.err)
+	}
+	if b := <-gotB; b.res != nil || b.err != context.Canceled {
+		t.Fatalf("pending unit's offer: res=%p err=%v, want nil and context.Canceled", b.res, b.err)
+	}
+	snap := lm.snapshot()
+	if snap.PendingUnits != 0 || snap.Leased != 0 || snap.LeasedTotal != 0 || snap.Runners != 0 {
+		t.Fatalf("lease table after cancel: %d pending, %d leased, %d lease grants, %d runners, want all 0",
+			snap.PendingUnits, snap.Leased, snap.LeasedTotal, snap.Runners)
 	}
 }
 

@@ -231,10 +231,12 @@ func (s *Server) health() api.Health {
 		WorkersBusy:   busy,
 		Draining:      draining,
 	}
-	if fh := s.fleet.snapshot(); fh.Runners > 0 || fh.LeasedTotal > 0 || fh.PendingUnits > 0 {
+	fh := s.fleet.snapshot()
+	fh.Local = max(s.cfg.FleetLocal, 0)
+	if fh.Runners > 0 || fh.LeasedTotal > 0 || (fh.Local == 0 && fh.PendingUnits > 0) {
 		// The fleet section appears once a runner has ever joined (or
-		// units are parked awaiting one); a purely local server keeps
-		// the pre-fleet document shape.
+		// units wait for one on a dispatch-only server); a purely local
+		// server keeps the pre-fleet document shape.
 		doc.Fleet = fh
 	}
 	if s.journal != nil {

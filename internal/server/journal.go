@@ -191,7 +191,7 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 // silently vanishing.
 func (s *Server) resubmit(rj *replayedJob) {
 	j := newJob(rj.id, rj.hash, rj.spec)
-	p, err := rj.spec.Plan(maxInt(rj.reps, 1))
+	p, err := rj.spec.Plan(max(rj.reps, 1))
 	if err == nil {
 		j = newPlanJob(rj.id, rj.hash, p)
 	}
@@ -226,13 +226,6 @@ func jobIDNum(id string) int {
 		return 0
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---- Checkpoint store ----

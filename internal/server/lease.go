@@ -1,19 +1,18 @@
 package server
 
-// The coordinator side of the fleet tier: a lease table distributing
-// plan units to remote runners.
+// The lease table: dynschedd's one queue of plan units, drained by the
+// coordinator's own executors and by remote runners alike.
 //
-// Units enter through offer — the plan executor's Delegate hook parks
-// every fresh unit here — and leave one of three ways: a runner leases
-// and reports it (the normal path), an idle local worker claims it
-// through the local-execution semaphore (hybrid coordinators), or the
-// owning plan is cancelled. Leases carry an expiry renewed by reports
-// and heartbeats; the sweeper re-queues units whose lease lapsed,
-// excluding the presumed-dead runner from the re-grant so a zombie
-// cannot keep re-acquiring work it never finishes. Merge is exactly
-// once: a lease ID is valid for one report, a unit's content hash is
-// cross-checked, and late reports against expired leases are rejected
-// idempotently.
+// Units enter through offer — the plan executor's Dispatch hook parks
+// every fresh unit here with the closure that runs it — and leave one
+// of three ways: an in-process executor takes the oldest and runs it,
+// a runner leases and reports it, or the owning plan is cancelled.
+// Leases carry an expiry renewed by reports and heartbeats; the
+// sweeper re-queues units whose lease lapsed, excluding the
+// presumed-dead runner from the re-grant so a zombie cannot keep
+// re-acquiring work it never finishes. Merge is exactly once: a lease
+// ID is valid for one report, a unit's content hash is cross-checked,
+// and late reports against expired leases are rejected idempotently.
 
 import (
 	"context"
@@ -30,29 +29,31 @@ import (
 
 // Fleet unit lifecycle (fleetUnit.state, guarded by leaseManager.mu).
 const (
-	unitPending   = iota // parked, awaiting a lease or a local claim
+	unitPending   = iota // parked, awaiting an executor or a lease
 	unitLeased           // out with a runner
+	unitRunning          // taken by an in-process executor
 	unitDone             // a report was merged (or failed the unit)
-	unitWithdrawn        // claimed locally or abandoned by cancellation
+	unitWithdrawn        // abandoned by cancellation
 )
 
 // fleetUnit is one plan unit parked with the lease manager. The
-// offering goroutine blocks in offer until done closes (remote
-// completion) or it claims the unit back for local execution.
+// offering goroutine blocks in offer until done closes or its plan is
+// cancelled.
 type fleetUnit struct {
 	pu      dynsched.PlanUnit
 	noCache bool
 
-	// done closes exactly once, when a report is merged; res/err are
-	// written before the close and read only after it.
+	// run executes the unit in this process under ctx, the offering
+	// plan unit's context; set by offer, called by runHere.
+	ctx context.Context
+	run func(context.Context) (*dynsched.SimResult, error)
+
+	// done closes exactly once, when a report is merged or a local run
+	// returns; res/err are written before the close and read only
+	// after it.
 	done chan struct{}
 	res  *dynsched.SimResult
 	err  error
-
-	// requeued pulses (buffered, non-blocking send) when an expired
-	// lease returns the unit to pending, re-arming the offerer's
-	// local-claim race.
-	requeued chan struct{}
 
 	// Guarded by leaseManager.mu.
 	state    int
@@ -101,9 +102,8 @@ type leaseManager struct {
 const (
 	defaultLeaseExpiry   = 15 * time.Second
 	defaultFleetBatchMax = 64
-	// maxFleetInflight bounds how many units one plan parks with the
-	// fleet at a time (the plan pool's virtual-worker count beyond the
-	// local semaphore).
+	// maxFleetInflight bounds how many units one plan parks in the
+	// lease table at a time (its plan pool's waiter count).
 	maxFleetInflight = 256
 	// runnerForgetAfter is how many expiry periods of silence before a
 	// runner disappears from the fleet roster. Its leases expire first
@@ -128,65 +128,68 @@ func newLeaseManager(expiry time.Duration, batchMax int, m *serverMetrics) *leas
 	}
 }
 
-// offer parks the unit for the fleet and blocks until it completes
-// remotely (ok=true with the merged result or the remote failure), is
-// claimed back for local execution (ok=false — the caller holds one
-// token from local and must run the unit itself), or ctx is cancelled
-// (ok=true with ctx's error). See plan.Options.Delegate for the token
-// protocol.
-func (lm *leaseManager) offer(ctx context.Context, fu *fleetUnit, local chan struct{}) (*dynsched.SimResult, bool, error) {
+// offer parks the unit in the lease table and blocks until an
+// executor has run it or a runner's report merged, or ctx is cancelled.
+// A cancelled unit still pending or leased is withdrawn (ctx's error);
+// one running here is waited for, so no unit outlives its plan and its
+// partial result comes back with the run's error.
+func (lm *leaseManager) offer(ctx context.Context, fu *fleetUnit) (*dynsched.SimResult, error) {
+	fu.ctx = ctx
 	fu.done = make(chan struct{})
-	fu.requeued = make(chan struct{}, 1)
 	lm.mu.Lock()
 	fu.state = unitPending
 	lm.pending = append(lm.pending, fu)
 	lm.wakeLocked()
 	lm.mu.Unlock()
 
+	select {
+	case <-fu.done:
+	case <-ctx.Done():
+		if lm.abandon(fu) {
+			return nil, ctx.Err()
+		}
+		<-fu.done // running here or just merged: wait for its result
+	}
+	return fu.res, fu.err
+}
+
+// take withdraws the oldest pending unit for an in-process executor,
+// blocking until one is pending; it returns nil once stop closes. A
+// taken unit holds no lease and no expiry, joins no roster and counts
+// in no lease total: the executor runs it with runHere.
+func (lm *leaseManager) take(stop <-chan struct{}) *fleetUnit {
 	for {
+		lm.mu.Lock()
+		if len(lm.pending) > 0 {
+			fu := lm.pending[0]
+			lm.pending[0] = nil
+			lm.pending = lm.pending[1:]
+			fu.state = unitRunning
+			lm.mu.Unlock()
+			return fu
+		}
+		wake := lm.wake
+		lm.mu.Unlock()
 		select {
-		case <-fu.done:
-			return fu.res, true, fu.err
-		case <-ctx.Done():
-			lm.abandon(fu)
-			return nil, true, ctx.Err()
-		case <-local:
-			if lm.claimLocal(fu) {
-				return nil, false, nil
-			}
-			// The unit went out on a lease between the token becoming
-			// free and our claim: hand the token to another unit and
-			// wait — done, cancellation, or a requeue (lease expired)
-			// that re-arms the local race.
-			local <- struct{}{}
-			select {
-			case <-fu.done:
-				return fu.res, true, fu.err
-			case <-ctx.Done():
-				lm.abandon(fu)
-				return nil, true, ctx.Err()
-			case <-fu.requeued:
-			}
+		case <-wake:
+		case <-stop:
+			return nil
 		}
 	}
 }
 
-// claimLocal withdraws a still-pending unit for local execution.
-func (lm *leaseManager) claimLocal(fu *fleetUnit) bool {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	if fu.state != unitPending {
-		return false
-	}
-	lm.removePendingLocked(fu)
-	fu.state = unitWithdrawn
-	return true
+// runHere executes a taken unit on the calling goroutine and hands the
+// result to its offerer.
+func (fu *fleetUnit) runHere() {
+	fu.res, fu.err = fu.run(fu.ctx)
+	close(fu.done)
 }
 
 // abandon withdraws a unit whose plan was cancelled: pending units
 // leave the queue, leased units have their lease invalidated so the
-// eventual report is rejected.
-func (lm *leaseManager) abandon(fu *fleetUnit) {
+// eventual report is rejected. It reports false, withdrawing nothing,
+// for a unit running here or already merged — done closes for those.
+func (lm *leaseManager) abandon(fu *fleetUnit) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	switch fu.state {
@@ -197,8 +200,11 @@ func (lm *leaseManager) abandon(fu *fleetUnit) {
 		if r := lm.runners[fu.runner]; r != nil && r.leased > 0 {
 			r.leased--
 		}
+	default:
+		return false
 	}
 	fu.state = unitWithdrawn
+	return true
 }
 
 // removePendingLocked drops fu from the pending queue (order
@@ -249,7 +255,7 @@ func (lm *leaseManager) lease(done <-chan struct{}, runner string, want int, wai
 		active := len(lm.runners)
 		var grant []*fleetUnit
 		if n := len(lm.pending); n > 0 {
-			quota := minInt(want, lm.batchMax)
+			quota := min(want, lm.batchMax)
 			if share := (n + active - 1) / active; share < quota {
 				quota = share
 			}
@@ -290,7 +296,7 @@ func (lm *leaseManager) lease(done <-chan struct{}, runner string, want int, wai
 		if remain := time.Until(deadline); remain <= 0 {
 			return nil, active
 		} else {
-			timer := time.NewTimer(minDuration(remain, lm.expiry))
+			timer := time.NewTimer(min(remain, lm.expiry))
 			select {
 			case <-wake:
 			case <-timer.C:
@@ -385,7 +391,7 @@ func (lm *leaseManager) sweep(now time.Time) int {
 // releaseAll returns every leased unit to the pending queue without
 // excluding its holder — the draining coordinator's path: reports can
 // no longer be relied on, so outstanding units must become grantable
-// (to surviving runners) or locally claimable again instead of
+// (to surviving runners) or taken by an executor instead of
 // dangling on dead leases past the drain grace.
 func (lm *leaseManager) releaseAll() int {
 	lm.mu.Lock()
@@ -416,10 +422,6 @@ func (lm *leaseManager) releaseLocked(expired func(*fleetUnit) bool, exclude boo
 		}
 		fu.state = unitPending
 		lm.pending = append(lm.pending, fu)
-		select {
-		case fu.requeued <- struct{}{}:
-		default:
-		}
 		released++
 	}
 	if released > 0 {
@@ -464,18 +466,4 @@ func (lm *leaseManager) occupancy() (runners, pending, leased int) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	return len(lm.runners), len(lm.pending), len(lm.leased)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -41,16 +41,13 @@ func planBaseline(t *testing.T, sc dynsched.Scenario) []byte {
 // instead of re-simulating them.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	journalDir, cacheDir := t.TempDir(), t.TempDir()
-	// A 6-unit lambda sweep, each unit heavy enough that the crash
-	// lands mid-plan. Parallel=1 runs the units sequentially inside
-	// the plan, so "two units done" reliably means four are left.
-	sc := sweepScenario("recovery-sweep", 500_000, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
-	sc.Sim.Parallel = 1
+	sc := sweepScenario("recovery-sweep", 5_000, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
 	want := planBaseline(t, sc)
 
-	// Server 1: one worker so units complete in order; crash once at
-	// least two units are done and at most four (mid-plan either way).
-	s1, err := New(Config{Workers: 1, JournalDir: journalDir, CacheDir: cacheDir})
+	// Server 1 runs no executors: the test itself takes and runs
+	// exactly two units from the lease table, then crashes with the
+	// other four still pending.
+	s1, err := New(Config{Workers: 1, FleetLocal: -1, JournalDir: journalDir, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +60,10 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	}
 	id := view.ID
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		v := getJob(t, ts1, id)
-		if v.State.Terminal() {
-			t.Fatalf("job reached %s before the crash; raise the unit slot count", v.State)
-		}
-		if v.UnitsDone >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no unit progress before deadline: %+v", v)
-		}
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 2; i++ {
+		s1.fleet.take(nil).runHere()
 	}
+	waitFor(t, func() bool { return getJob(t, ts1, id).UnitsDone == 2 })
 	crash() // the process dies here: no drain, no shutdown marker
 	s1.Wait()
 	ts1.Close()
@@ -112,7 +99,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if !done.Recovered {
 		t.Fatal("finished job lost its recovered mark")
 	}
-	if done.UnitsCached < 2 {
+	if done.UnitsCached != 2 {
 		t.Fatalf("recovery re-simulated finished units: unitsCached=%d", done.UnitsCached)
 	}
 	if done.UnitsDone != 6 {

@@ -325,7 +325,7 @@ func (r *Runner) fetchCached(ctx context.Context, hash string) (json.RawMessage,
 // expired anyway; the final partial batch flushes on channel close.
 func (r *Runner) reportLoop(ctx context.Context, repCh <-chan api.UnitReport, done chan<- struct{}) {
 	defer close(done)
-	bound := maxInt(1, r.cfg.BatchMax/2)
+	bound := max(1, r.cfg.BatchMax/2)
 	for {
 		var batch []api.UnitReport
 		select {

@@ -1,16 +1,17 @@
 // Package server turns the dynsched library into a long-running
-// simulation service: an HTTP/JSON API over a bounded job queue, a
-// worker pool that executes submitted Scenario specs with live
-// progress streaming, and a content-addressed result cache keyed by
-// the canonical spec hash so identical submissions are served from
-// memory (or a disk spill directory) without re-simulating.
+// simulation service: an HTTP/JSON API over a bounded job queue, job
+// workers that execute submitted Scenario specs with live progress
+// streaming, and a content-addressed result cache keyed by the
+// canonical spec hash so identical submissions are served from memory
+// (or a disk spill directory) without re-simulating.
 //
 // Every job takes one execution path: the submission decomposes into a
 // dynsched.Plan — a single run is a one-unit plan — and the worker
 // executes it through Plan.Execute. Every unit therefore consults the
-// result cache by its own content address, may be leased to a fleet
-// runner, checkpoints into the journal directory, and counts in the
-// plan metrics. A single run streams slot-level "progress" events and
+// result cache by its own content address, waits in the one lease
+// table for an in-process executor or a fleet runner (lease.go),
+// checkpoints into the journal directory, and counts in the plan
+// metrics. A single run streams slot-level "progress" events and
 // returns its unit's SimResult under the scenario hash; a sweep, grid
 // or replicate plan streams "unit" events with unit counters and
 // returns the assembled PlanResult under the plan hash.
@@ -49,7 +50,9 @@ import (
 
 // Config parameterises a Server.
 type Config struct {
-	// Workers is the simulation worker-pool size (0 = GOMAXPROCS).
+	// Workers bounds how many jobs run at once (0 = GOMAXPROCS). A
+	// running job parks its units in the lease table; FleetLocal sizes
+	// the executors that simulate them.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting to run (0 = 64).
 	// Submissions beyond it are rejected with 503 rather than queued
@@ -97,18 +100,20 @@ type Config struct {
 	LeaseExpiry time.Duration
 	// FleetBatchMax caps one lease grant (0 = 64 units).
 	FleetBatchMax int
-	// FleetLocal sizes the coordinator's own execution share of plan
-	// units: 0 keeps the planner's resolved pool (the scenario's
-	// Sim.Parallel, GOMAXPROCS by default), a positive value pins the
-	// local slot count, and a negative value makes the coordinator
-	// dispatch-only — every unit, a single run's included, must
-	// complete through a runner, so a fleet must be attached.
+	// FleetLocal is the number of in-process executors draining the
+	// lease table, shared FIFO by all jobs (0 = GOMAXPROCS). A negative
+	// value starts none and makes the coordinator dispatch-only: every
+	// unit, a single run's included, must complete through a runner,
+	// so a fleet must be attached.
 	FleetLocal int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.FleetLocal == 0 {
+		c.FleetLocal = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -151,7 +156,8 @@ type Server struct {
 	running  map[string]*Job
 	draining bool
 
-	wg sync.WaitGroup
+	wg     sync.WaitGroup // job workers, which Drain waits for
+	execWG sync.WaitGroup // lease-table executors
 }
 
 // New builds a server, replaying the journal directory (when
@@ -184,20 +190,33 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the worker pool. Cancelling ctx stops the workers:
-// running jobs are cancelled through their run contexts and queued
-// jobs stay queued (the process is exiting). Wait blocks until the
-// pool has drained.
+// Start launches the job workers and the lease-table executors.
+// Cancelling ctx stops them: running jobs are cancelled through their
+// run contexts and queued jobs stay queued (the process is exiting).
+// Wait blocks until both have returned.
 func (s *Server) Start(ctx context.Context) {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker(ctx)
 	}
-	// The fleet lease sweeper rides its own goroutine, not the worker
-	// WaitGroup: it must keep re-granting expired leases through a
-	// drain (Drain waits on the pool while released units finish) and
-	// only stops when the Start context does.
+	// The executors and the lease sweeper stay outside the worker
+	// WaitGroup: Drain waits on the workers while their units finish,
+	// so both must keep running through a drain (released leases fall
+	// back to the executors) and stop only with the Start context.
+	for i := 0; i < s.cfg.FleetLocal; i++ {
+		s.execWG.Add(1)
+		go s.executor(ctx)
+	}
 	go s.fleetSweeper(ctx)
+}
+
+// executor runs units from the lease table on this process's CPUs, the
+// oldest pending first, until ctx is cancelled.
+func (s *Server) executor(ctx context.Context) {
+	defer s.execWG.Done()
+	for fu := s.fleet.take(ctx.Done()); fu != nil; fu = s.fleet.take(ctx.Done()) {
+		fu.runHere()
+	}
 }
 
 // fleetSweeper periodically re-queues expired fleet leases so units
@@ -224,9 +243,12 @@ func (s *Server) fleetSweeper(ctx context.Context) {
 	}
 }
 
-// Wait blocks until every worker has returned (after the Start context
-// is cancelled).
-func (s *Server) Wait() { s.wg.Wait() }
+// Wait blocks until every worker and executor has returned (after the
+// Start context is cancelled).
+func (s *Server) Wait() {
+	s.wg.Wait()
+	s.execWG.Wait()
+}
 
 func (s *Server) worker(ctx context.Context) {
 	defer s.wg.Done()
@@ -268,7 +290,7 @@ func (s *Server) Drain(grace time.Duration) DrainReport {
 	// Release every unit currently leased to a runner: reports can no
 	// longer be waited on across the grace window, so leased units go
 	// back to pending where a surviving runner re-leases them (or an
-	// idle local slot claims them) — instead of dangling on a dead
+	// executor takes them) — instead of dangling on a dead
 	// runner's lease until its expiry and forcing the drain to drop
 	// the owning plan job. Late reports against the released leases
 	// are rejected idempotently.
@@ -464,29 +486,13 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			return &res, true
 		}
 	}
-	// Fleet tier: park every fresh unit with the lease manager so
-	// attached runners can lease it, while the local-execution
-	// semaphore keeps this coordinator's own share of the work. The
-	// pool is sized local + virtual so up to maxFleetInflight units can
-	// be out with the fleet beyond what runs here; with no runners
-	// attached every unit falls straight through to a local slot.
-	localN := p.Source.Sim.Parallel
-	if localN <= 0 {
-		localN = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case s.cfg.FleetLocal > 0:
-		localN = s.cfg.FleetLocal
-	case s.cfg.FleetLocal < 0:
-		localN = 0
-	}
-	opts.Parallel = localN + minInt(len(p.Units), maxFleetInflight)
-	if opts.LocalParallel = localN; localN == 0 {
-		opts.LocalParallel = -1 // dispatch-only
-	}
+	// Park every fresh unit in the lease table, where the executors
+	// and any attached runners drain it; the plan pool only waits, so
+	// it is sized to park up to maxFleetInflight units at once.
+	opts.Parallel = min(len(p.Units), maxFleetInflight)
 	noCache := j.noCache
-	opts.Delegate = func(dctx context.Context, u dynsched.PlanUnit, local chan struct{}) (*dynsched.SimResult, bool, error) {
-		return s.fleet.offer(dctx, &fleetUnit{pu: u, noCache: noCache}, local)
+	opts.Dispatch = func(dctx context.Context, u dynsched.PlanUnit, run func(context.Context) (*dynsched.SimResult, error)) (*dynsched.SimResult, error) {
+		return s.fleet.offer(dctx, &fleetUnit{pu: u, noCache: noCache, run: run})
 	}
 	if s.journal != nil && s.cfg.CheckpointEvery > 0 {
 		opts.CheckpointEvery = s.cfg.CheckpointEvery

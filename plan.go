@@ -330,16 +330,13 @@ type ExecOptions struct {
 	// Metrics, when set, counts every unit's outcome (run/cached/failed)
 	// and records fresh-run wall time (see plan.Metrics).
 	Metrics *PlanMetrics
-	// Delegate, when set, may execute a unit on a remote runner instead
-	// of the local pool (dynschedd's fleet tier). See plan.Options for
-	// the token protocol; a successfully delegated unit's result flows
-	// through Store exactly like a local fresh run, so caching and
-	// journaling hold fleet-wide.
-	Delegate func(ctx context.Context, u PlanUnit, local chan struct{}) (*SimResult, bool, error)
-	// LocalParallel sizes the local-execution semaphore when Delegate is
-	// set: 0 = Parallel's resolved value, negative = dispatch-only (no
-	// local execution).
-	LocalParallel int
+	// Dispatch, when set, receives every unit the Lookup hook did not
+	// serve, with the closure that runs it here, and returns either
+	// run's result or one computed elsewhere (dynschedd's lease table,
+	// drained by its executors and its fleet runners; see
+	// plan.Options). Results from either path flow through Store, so
+	// caching and journaling hold fleet-wide.
+	Dispatch func(ctx context.Context, u PlanUnit, run func(context.Context) (*SimResult, error)) (*SimResult, error)
 	// CheckpointEvery, when positive, checkpoints each running unit
 	// every so many slots (at the protocol's next frame boundary),
 	// handing the snapshots to SaveCheckpoint. Units whose components
@@ -391,16 +388,19 @@ func (p *Plan) Execute(ctx context.Context, opts ExecOptions) (*PlanResult, erro
 			opts.OnUnit(p.Units[u.Index], cached, err, PlanProgress{Done: pr.Done, Cached: pr.Cached, Total: pr.Total})
 		}
 	}
-	if opts.Delegate != nil {
-		popts.LocalParallel = opts.LocalParallel
-		popts.Delegate = func(dctx context.Context, u plan.Unit, local chan struct{}) (*SimResult, bool, error) {
-			pu := p.Units[u.Index]
-			res, ok, err := opts.Delegate(dctx, pu, local)
-			if ok && err == nil && opts.Store != nil {
-				opts.Store(pu, res)
-			}
-			return res, ok, err
+	popts.Dispatch = func(dctx context.Context, u plan.Unit, run func(context.Context) (*SimResult, error)) (*SimResult, error) {
+		pu := p.Units[u.Index]
+		var res *SimResult
+		var err error
+		if opts.Dispatch != nil {
+			res, err = opts.Dispatch(dctx, pu, run)
+		} else {
+			res, err = run(dctx)
 		}
+		if err == nil && opts.Store != nil {
+			opts.Store(pu, res)
+		}
+		return res, err
 	}
 	out, err := plan.Execute(ctx, units, popts, func(uctx context.Context, u plan.Unit) (*SimResult, error) {
 		pu := p.Units[u.Index]
@@ -431,11 +431,7 @@ func (p *Plan) Execute(ctx context.Context, opts ExecOptions) (*PlanResult, erro
 				c.Config.Checkpoint = spec
 			}
 		}
-		res, rerr := c.Run(uctx)
-		if rerr == nil && opts.Store != nil {
-			opts.Store(pu, res)
-		}
-		return res, rerr
+		return c.Run(uctx)
 	})
 
 	result := p.aggregate(out)
