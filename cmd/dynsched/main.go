@@ -350,7 +350,7 @@ func run(ctx context.Context, sc dynsched.Scenario, queueCSV string, asJSON bool
 	fmt.Printf("network:     %d nodes, %d links, model=%s\n",
 		c.Graph.NumNodes(), c.Graph.NumLinks(), c.Model.Name())
 	if d := c.Diagnostics; d != nil {
-		line := fmt.Sprintf("model table: backing=%s (dense threshold %d links)", d.Backing, d.DenseMaxLinks)
+		line := "model table: backing=" + d.Backing
 		if d.FarFloor > 0 {
 			line += fmt.Sprintf("  far-field floor ε=%g", d.FarFloor)
 		}

@@ -49,29 +49,18 @@ type Options struct {
 	Gen Generator `json:"generator"`
 
 	// SINR model storage knobs (ignored by non-SINR models). Backing is
-	// "", auto, dense, csr, or indexed; DenseMaxLinks moves the
-	// dense-vs-CSR auto threshold (0 = built-in default); FarFloor and
-	// CellSize tune the indexed backing's far-field contribution floor ε
-	// and spatial cell size.
-	Backing       string  `json:"backing"`
-	DenseMaxLinks int     `json:"denseMaxLinks"`
-	FarFloor      float64 `json:"farFloor"`
-	CellSize      float64 `json:"cellSize"`
+	// "", auto or dense (the flat cross table) or indexed (the spatial
+	// grid); FarFloor and CellSize tune the indexed backing's far-field
+	// contribution floor ε and spatial cell size.
+	Backing  string  `json:"backing"`
+	FarFloor float64 `json:"farFloor"`
+	CellSize float64 `json:"cellSize"`
 
 	// ResolveParallelism sets the intra-slot interference-resolution
 	// worker count baked into SINR model resolvers (0 = GOMAXPROCS,
 	// 1 = serial). A pure execution knob: results are bit-identical at
 	// every value.
 	ResolveParallelism int `json:"resolveParallelism,omitempty"`
-}
-
-// ModelDiag records which interference-table backing a built workload
-// resolved to — surfaced as run diagnostics by the scenario layer.
-type ModelDiag struct {
-	Backing       string  `json:"backing"`
-	DenseMaxLinks int     `json:"denseMaxLinks"`
-	FarFloor      float64 `json:"farFloor,omitempty"`
-	CellSize      float64 `json:"cellSize,omitempty"`
 }
 
 // Workload is the assembled simulation input.
@@ -83,7 +72,7 @@ type Workload struct {
 	Protocol *core.Protocol
 	Process  inject.Process
 	// Diag is the SINR table-backing record (nil for non-SINR models).
-	Diag *ModelDiag
+	Diag *sinr.TableInfo
 }
 
 // Build assembles the workload from the options.
@@ -163,15 +152,14 @@ func modelOptions(o Options) (sinr.Options, error) {
 		return sinr.Options{}, err
 	}
 	return sinr.Options{
-		Backing:       backing,
-		DenseMaxLinks: o.DenseMaxLinks,
-		FarFloor:      o.FarFloor,
-		CellSize:      o.CellSize,
-		Parallelism:   o.ResolveParallelism,
+		Backing:     backing,
+		FarFloor:    o.FarFloor,
+		CellSize:    o.CellSize,
+		Parallelism: o.ResolveParallelism,
 	}, nil
 }
 
-func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, []netgraph.Path, int, int, error) {
+func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *sinr.TableInfo, []netgraph.Path, int, int, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 	topology := o.Topology
 	if topology == "" || topology == "auto" {
@@ -267,7 +255,7 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 
 	inst := netgraph.NewInstance(g, effHops)
 	var model interference.Model
-	var diag *ModelDiag
+	var diag *sinr.TableInfo
 	switch o.Model {
 	case "identity":
 		model = interference.Identity{Links: g.NumLinks()}
@@ -293,7 +281,8 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 			return nil, nil, nil, nil, 0, 0, err
 		}
 		model = fp
-		diag = tableDiag(fp.Table())
+		ti := fp.Table()
+		diag = &ti
 	case "sinr-power-control":
 		opt, err := modelOptions(o)
 		if err != nil {
@@ -304,21 +293,12 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 			return nil, nil, nil, nil, 0, 0, err
 		}
 		model = pc
-		diag = tableDiag(pc.Table())
+		ti := pc.Table()
+		diag = &ti
 	default:
 		return nil, nil, nil, nil, 0, 0, fmt.Errorf("unknown model %q", o.Model)
 	}
 	return g, model, diag, paths, inst.M(), effHops, nil
-}
-
-// tableDiag converts a model's TableInfo into the diagnostics record.
-func tableDiag(ti sinr.TableInfo) *ModelDiag {
-	return &ModelDiag{
-		Backing:       ti.Backing,
-		DenseMaxLinks: ti.DenseMaxLinks,
-		FarFloor:      ti.FarFloor,
-		CellSize:      ti.CellSize,
-	}
 }
 
 // PickAlgorithm resolves an algorithm name; "auto" chooses per model.

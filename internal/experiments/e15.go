@@ -110,8 +110,7 @@ func E15SpatialScale(ctx context.Context, scale Scale, seed int64) (*Table, erro
 
 		agreeCell := "-"
 		if n <= exactMax {
-			flat, err := sinr.NewFixedPowerOpts(g, prm, powers, sinr.WeightMonotone,
-				sinr.Options{Backing: sinr.BackCSR})
+			flat, err := sinr.NewFixedPower(g, prm, powers, sinr.WeightMonotone)
 			if err != nil {
 				return nil, err
 			}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -405,6 +407,66 @@ func TestLegacyUnitRecordsRecovered(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("recovered result diverges from uninterrupted run:\n got %.300s\nwant %.300s", got, want)
 	}
+	cancel()
+	srv.Wait()
+	_ = srv.journal.Close()
+}
+
+// TestRecoveryFailsSpecThatNoLongerValidates pins resubmit's failure
+// branch: a journaled spec naming the removed "csr" backing (and the
+// removed denseMax knob) no longer plans, so the recovered job turns
+// failed with a diagnostic instead of vanishing, and the server still
+// accepts and runs fresh work.
+func TestRecoveryFailsSpecThatNoLongerValidates(t *testing.T) {
+	journalDir := t.TempDir()
+	jn, err := journal.Open(journalDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := map[string]any{
+		"name":  "legacy-csr",
+		"model": map[string]any{"kind": "sinr-uniform", "backing": "csr", "denseMax": 64},
+		"sim":   map[string]any{"slots": 1_000, "seed": 1},
+	}
+	payload, err := json.Marshal(map[string]any{"op": "submit", "id": "job-1", "hash": "legacy", "spec": spec, "reps": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append(payload, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Config{Workers: 1, JournalDir: journalDir})
+	if err != nil {
+		t.Fatalf("journal with a stale spec rejected: %v", err)
+	}
+	if srv.RecoveredJobs() != 0 {
+		t.Fatalf("recovered %d jobs, want 0", srv.RecoveredJobs())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv.Start(ctx)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	failed := getJob(t, ts, "job-1")
+	if failed.State != StateFailed {
+		t.Fatalf("legacy job state %s, want failed: %+v", failed.State, failed)
+	}
+	for _, want := range []string{"recovering job", "unknown model backing"} {
+		if !strings.Contains(failed.Error, want) {
+			t.Fatalf("legacy job error %q does not mention %q", failed.Error, want)
+		}
+	}
+
+	status, fresh := submitScenario(t, ts, lineScenario("after-legacy", 2_000, 1))
+	if status != http.StatusAccepted {
+		t.Fatalf("fresh submission status %d", status)
+	}
+	waitForState(t, ts, fresh.ID, StateDone)
 	cancel()
 	srv.Wait()
 	_ = srv.journal.Close()

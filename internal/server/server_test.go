@@ -122,20 +122,27 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) []Event {
 	return events
 }
 
-// waitForState polls the job until it reaches want or the deadline
-// passes.
+// waitForState waits until the job reaches want. For a terminal target
+// it follows the job's event stream, which ends at the terminal event;
+// the server sets the state before publishing that event, so the view
+// read afterwards is already terminal. StateRunning is polled. A job
+// that turns terminal in another state fails the test; a hang is
+// bounded by go test -timeout, which dumps every goroutine.
 func waitForState(t *testing.T, ts *httptest.Server, id string, want State) JobView {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
 	for {
 		view := getJob(t, ts, id)
 		if view.State == want {
 			return view
 		}
-		if view.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s (want %s): %+v", id, view.State, want, view)
+		if view.State.Terminal() {
+			t.Fatalf("job %s ended in %s (want %s): %+v", id, view.State, want, view)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if want.Terminal() {
+			streamEvents(t, ts, id)
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

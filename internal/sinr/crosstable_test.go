@@ -166,37 +166,3 @@ func TestFixedPowerSuccessesMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestCrossTableCSRBackingMatchesDense pins that the CSR backing above
-// the dense threshold returns the same entries as the dense backing —
-// including dropped exact zeros and stored sentinels.
-func TestCrossTableCSRBackingMatchesDense(t *testing.T) {
-	const n = 12
-	entry := func(at, src int) float64 {
-		switch (at*n + src) % 5 {
-		case 0:
-			return 0 // dropped by CSR; must read back as exact 0
-		case 1:
-			return -1 // sentinel; must be stored
-		case 2:
-			return math.Inf(1)
-		default:
-			return float64(at*n+src) * 0.5
-		}
-	}
-	dense := buildCrossTable(n, entry)
-	if dense.dense == nil {
-		t.Fatal("small table should be dense-backed")
-	}
-	// Force the CSR path by building through the same helper the large
-	// tables use.
-	big := crossTable{n: n, rows: buildCrossCSR(n, entry)}
-	for at := 0; at < n; at++ {
-		for src := 0; src < n; src++ {
-			d, c := dense.at(at, src), big.at(at, src)
-			if d != c && !(math.IsNaN(d) && math.IsNaN(c)) {
-				t.Fatalf("entry (%d,%d): dense %v, csr %v", at, src, d, c)
-			}
-		}
-	}
-}

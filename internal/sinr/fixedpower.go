@@ -154,7 +154,7 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 		opts:   opt,
 	}
 	n := g.NumLinks()
-	m.info = opt.tableInfo(n)
+	m.info = opt.tableInfo()
 	m.lens = make([]float64, n)
 	m.signals = make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -173,7 +173,7 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 			return nil, err
 		}
 	} else {
-		m.gain = buildCrossTableOpts(n, opt, func(at, src int) float64 {
+		m.gain = buildCrossTable(n, func(at, src int) float64 {
 			recv := g.Link(netgraph.LinkID(at)).To
 			d := g.NodeDist(g.Link(netgraph.LinkID(src)).From, recv)
 			// d == 0 divides to +Inf — the sentinel the SINR test expects.
@@ -417,11 +417,10 @@ func (m *FixedPower) fillRange(sc *fpScratch, slot, lo, hi int) {
 // gain table. Distinct links are summed in ascending order — the
 // historical Successes order — so the floating-point interference sums,
 // and therefore the outcomes, are bit-identical across the Successes
-// and NewResolver paths, across dense and CSR table backings, and
-// across worker counts. A co-located interferer contributes a +Inf
-// gain; adding it yields the same +Inf sum the pre-table code produced
-// by short-circuiting (all terms are non-negative, so no NaN can
-// arise).
+// and NewResolver paths and across worker counts. A co-located
+// interferer contributes a +Inf gain; adding it yields the same +Inf
+// sum the pre-table code produced by short-circuiting (all terms are
+// non-negative, so no NaN can arise).
 func (m *FixedPower) fillTableRange(sc *fpScratch, lo, hi int) {
 	s := sc.rs
 	for i := lo; i < hi; i++ {
@@ -430,28 +429,10 @@ func (m *FixedPower) fillTableRange(sc *fpScratch, lo, hi int) {
 			continue
 		}
 		interf := m.prm.Noise
-		if row := m.gain.denseRow(e); row != nil {
-			for _, e2 := range s.Uniq {
-				if e2 != e {
-					interf += row[e2]
-				}
-			}
-		} else {
-			// CSR backing: merge-join the sorted uniq list with the row's
-			// ascending columns; absent entries are exact +0.0 terms, so
-			// skipping them leaves the sum bit-identical.
-			cols, vals := m.gain.csrRow(e)
-			k := 0
-			for _, e2 := range s.Uniq {
-				if e2 == e {
-					continue
-				}
-				for k < len(cols) && int(cols[k]) < e2 {
-					k++
-				}
-				if k < len(cols) && int(cols[k]) == e2 {
-					interf += vals[k]
-				}
+		row := m.gain.row(e)
+		for _, e2 := range s.Uniq {
+			if e2 != e {
+				interf += row[e2]
 			}
 		}
 		sc.out[i] = m.signals[e] >= m.prm.Beta*interf

@@ -10,61 +10,46 @@ import (
 type Backing int
 
 const (
-	// BackAuto picks per size: dense tables up to the dense cap, CSR
-	// above it — the historical behavior.
-	BackAuto Backing = iota
-	// BackDense forces the flat row-major table (O(n²) memory).
-	BackDense
-	// BackCSR forces the compressed-sparse-row table.
-	BackCSR
+	// BackDense stores every cross-link term in a flat row-major table
+	// (O(n²) memory, the fastest per-slot resolve). It is the zero value.
+	BackDense Backing = iota
 	// BackIndexed skips cross tables entirely and resolves slots through
 	// a spatial grid index: exact summation over near interferers plus a
 	// rigorous far-field aggregation bound for the remainder. With
 	// FarFloor = 0 the resolver sums every interferer exactly, in the
-	// same order as the table paths — bit-identical results with O(n)
+	// same order as the table path — bit-identical results with O(n)
 	// memory instead of O(n²).
 	BackIndexed
 )
 
 // String names the backing the way run diagnostics report it.
 func (b Backing) String() string {
-	switch b {
-	case BackDense:
-		return "dense"
-	case BackCSR:
-		return "csr"
-	case BackIndexed:
+	if b == BackIndexed {
 		return "indexed"
-	default:
-		return "auto"
 	}
+	return "dense"
 }
 
-// ParseBacking resolves a diagnostic/spec name into a Backing.
+// ParseBacking resolves a diagnostic/spec name into a Backing; "" and
+// "auto" name the default dense table.
 func ParseBacking(s string) (Backing, error) {
 	switch s {
-	case "", "auto":
-		return BackAuto, nil
-	case "dense":
+	case "", "auto", "dense":
 		return BackDense, nil
-	case "csr":
-		return BackCSR, nil
 	case "indexed":
 		return BackIndexed, nil
 	default:
-		return 0, fmt.Errorf("sinr: unknown table backing %q (want auto, dense, csr, or indexed)", s)
+		return 0, fmt.Errorf("sinr: unknown table backing %q (want dense or indexed)", s)
 	}
 }
 
 // Options tune a model's storage and resolution strategy without
 // changing its physical semantics beyond the documented ε envelope.
-// The zero value reproduces the historical behavior exactly.
+// The zero value selects the dense table, bit-identical to the original
+// formulas.
 type Options struct {
 	// Backing selects the cross-table storage / resolution strategy.
 	Backing Backing
-	// DenseMaxLinks overrides the dense-vs-CSR switchover link count for
-	// BackAuto (0 keeps the built-in crossDenseMaxLinks cap).
-	DenseMaxLinks int
 	// FarFloor is the contribution floor ε of the indexed backing: an
 	// interferer whose individual affectance on the tested link is below
 	// ε is never summed term by term; it is covered by a per-cell
@@ -89,9 +74,6 @@ type Options struct {
 
 // validate rejects option values with no defined semantics.
 func (o Options) validate() error {
-	if o.DenseMaxLinks < 0 {
-		return fmt.Errorf("sinr: negative DenseMaxLinks %d", o.DenseMaxLinks)
-	}
 	if math.IsNaN(o.FarFloor) || math.IsInf(o.FarFloor, 0) || o.FarFloor < 0 || o.FarFloor >= 1 {
 		return fmt.Errorf("sinr: FarFloor %v outside [0, 1)", o.FarFloor)
 	}
@@ -107,46 +89,24 @@ func (o Options) validate() error {
 	return nil
 }
 
-// denseMax resolves the effective dense-table cap.
-func (o Options) denseMax() int {
-	if o.DenseMaxLinks > 0 {
-		return o.DenseMaxLinks
-	}
-	return crossDenseMaxLinks
-}
-
 // TableInfo reports the construction-time choices a model made — which
 // table backing it uses and with which knobs — so runs can surface them
 // in diagnostics.
 type TableInfo struct {
-	// Backing is "dense", "csr", or "indexed".
+	// Backing is "dense" or "indexed".
 	Backing string `json:"backing"`
-	// DenseMaxLinks is the dense-vs-CSR switchover in effect.
-	DenseMaxLinks int `json:"denseMaxLinks"`
 	// FarFloor is the indexed backing's contribution floor ε.
 	FarFloor float64 `json:"farFloor,omitempty"`
 	// CellSize is the explicit spatial cell size (0 = automatic).
 	CellSize float64 `json:"cellSize,omitempty"`
 }
 
-// tableInfo derives the diagnostic record for a resolved backing.
-func (o Options) tableInfo(n int) TableInfo {
-	info := TableInfo{DenseMaxLinks: o.denseMax()}
-	switch o.Backing {
-	case BackIndexed:
-		info.Backing = "indexed"
+// tableInfo derives the diagnostic record for the chosen backing.
+func (o Options) tableInfo() TableInfo {
+	info := TableInfo{Backing: o.Backing.String()}
+	if o.Backing == BackIndexed {
 		info.FarFloor = o.FarFloor
 		info.CellSize = o.CellSize
-	case BackDense:
-		info.Backing = "dense"
-	case BackCSR:
-		info.Backing = "csr"
-	default:
-		if n <= o.denseMax() {
-			info.Backing = "dense"
-		} else {
-			info.Backing = "csr"
-		}
 	}
 	return info
 }

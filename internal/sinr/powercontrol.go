@@ -101,7 +101,6 @@ type pcScratch struct {
 	job     parJob
 	mode    int
 	curSet  []int
-	wcross  [][]float64 // per-worker gathered table rows
 	wmax    []float64   // per-worker iteration max-relative-change
 	shedSum []float64   // per-candidate symmetrized interference sums
 	failed  atomic.Bool // gain build hit a co-located pair
@@ -117,7 +116,7 @@ func (sc *pcScratch) runChunks(slot int) {
 		}
 		switch sc.mode {
 		case pcModeGain:
-			sc.m.gainRows(sc, slot, lo, hi)
+			sc.m.gainRows(sc, lo, hi)
 		case pcModeIter:
 			sc.m.iterRows(sc, slot, lo, hi)
 		default:
@@ -126,16 +125,13 @@ func (sc *pcScratch) runChunks(slot int) {
 	}
 }
 
-// ensureWorkerBufs sizes the per-worker scratch slices for the
+// ensureWorkerBufs sizes the per-worker iteration maxima for the
 // resolver's worker count (always at least one slot, for the serial
 // path).
 func (sc *pcScratch) ensureWorkerBufs() {
 	slots := sc.workers
 	if slots < 1 {
 		slots = 1
-	}
-	for len(sc.wcross) < slots {
-		sc.wcross = append(sc.wcross, nil)
 	}
 	for len(sc.wmax) < slots {
 		sc.wmax = append(sc.wmax, 0)
@@ -172,7 +168,7 @@ func NewPowerControlOpts(g *netgraph.Graph, prm Params, opt Options) (*PowerCont
 		g:        g,
 		prm:      prm,
 		opts:     opt,
-		info:     opt.tableInfo(n),
+		info:     opt.tableInfo(),
 		lens:     make([]float64, n),
 		lenAlpha: make([]float64, n),
 		maxIter:  200,
@@ -197,7 +193,7 @@ func NewPowerControlOpts(g *netgraph.Graph, prm Params, opt Options) (*PowerCont
 			m.recvPos[e] = g.Pos(l.To)
 		}
 	} else {
-		m.cross = buildCrossTableOpts(n, opt, func(at, src int) float64 {
+		m.cross = buildCrossTable(n, func(at, src int) float64 {
 			d := g.SenderReceiverDist(netgraph.LinkID(src), netgraph.LinkID(at))
 			if d == 0 {
 				return -1 // sentinel: exact zero distance, not an underflowed power
@@ -355,7 +351,7 @@ func (m *PowerControl) solveInto(sc *pcScratch, set []int) bool {
 		sc.mode = pcModeGain
 		runParallel(&sc.job, sc, k, sc.workers)
 	} else {
-		m.gainRows(sc, 0, 0, k)
+		m.gainRows(sc, 0, k)
 	}
 	if sc.failed.Load() {
 		return false
@@ -407,35 +403,36 @@ func (m *PowerControl) solveInto(sc *pcScratch, set []int) bool {
 
 // gainRows fills gain rows [lo, hi): gain[i*k+j] is the normalized
 // interference coupling from set[j]'s sender into set[i]'s receiver,
-// scaled by set[i]'s own path loss — read straight from the precomputed
-// tables (set is ascending, so a CSR backing gathers each row in one
-// merge pass), or evaluated on demand under the indexed backing. slot
-// selects the worker's private gathered-row buffer.
-func (m *PowerControl) gainRows(sc *pcScratch, slot, lo, hi int) {
+// scaled by set[i]'s own path loss — read straight from the receiving
+// link's cross-table row, or evaluated on demand under the indexed
+// backing.
+func (m *PowerControl) gainRows(sc *pcScratch, lo, hi int) {
 	set := sc.curSet
 	k := len(set)
 	nu := m.prm.Noise
-	crossRow := growFloats(&sc.wcross[slot], k)
 	for i := lo; i < hi; i++ {
 		if sc.failed.Load() {
 			return
 		}
-		lenA := m.lenAlpha[set[i]]
+		at := set[i]
+		lenA := m.lenAlpha[at]
 		sc.noise[i] = nu * lenA
 		row := sc.gain[i*k : (i+1)*k]
+		var cross []float64
 		if m.cross != nil {
-			m.cross.gather(set[i], set, crossRow)
-		} else {
-			for j, src := range set {
-				crossRow[j] = m.crossAt(set[i], src)
-			}
+			cross = m.cross.row(at)
 		}
-		for j := 0; j < k; j++ {
+		for j, src := range set {
 			if i == j {
 				row[j] = 0
 				continue
 			}
-			cp := crossRow[j]
+			var cp float64
+			if cross != nil {
+				cp = cross[src]
+			} else {
+				cp = m.crossAt(at, src)
+			}
 			if cp < 0 {
 				sc.failed.Store(true) // co-located interferer: unservable
 				return

@@ -284,8 +284,8 @@ func checkFloorSparse(t *testing.T, n int, eps float64, dense, sparse func(e, e2
 	}
 }
 
-// TestOptionsBackingSelection pins the configurable dense/CSR threshold
-// and forced backings.
+// TestOptionsBackingSelection pins the default dense backing and its
+// agreement with the indexed one.
 func TestOptionsBackingSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	g := netgraph.RandomPairs(rng, 24, 40, 1, 4)
@@ -302,51 +302,35 @@ func TestOptionsBackingSelection(t *testing.T) {
 		}
 		return m
 	}
-	// Default: n = 24 is far below crossDenseMaxLinks, so dense.
+	// Default: the dense table.
 	if m := build(Options{}); m.gain.dense == nil || m.Table().Backing != "dense" {
 		t.Fatalf("default backing = %q (dense table: %v), want dense", m.Table().Backing, m.gain.dense != nil)
 	}
-	// Lowering the threshold flips the same instance to CSR.
-	if m := build(Options{DenseMaxLinks: 8}); m.gain.rows == nil || m.Table().Backing != "csr" {
-		t.Fatalf("DenseMaxLinks=8 backing = %q, want csr", m.Table().Backing)
-	}
-	if m := build(Options{DenseMaxLinks: 8}); m.Table().DenseMaxLinks != 8 {
-		t.Fatalf("TableInfo.DenseMaxLinks = %d, want 8", m.Table().DenseMaxLinks)
-	}
-	// Forced backings override the threshold in both directions.
-	if m := build(Options{Backing: BackCSR}); m.gain.rows == nil {
-		t.Fatal("BackCSR did not force the CSR backing")
-	}
-	if m := build(Options{Backing: BackDense, DenseMaxLinks: 2}); m.gain.dense == nil {
-		t.Fatal("BackDense did not force the dense backing")
-	}
-	// All four backings agree on outcomes.
-	table := build(Options{})
-	for _, opt := range []Options{{Backing: BackCSR}, {Backing: BackIndexed}} {
-		requireSameSlots(t, rng, table, build(opt), g.NumLinks(), 50)
-	}
+	// Both backings agree on outcomes.
+	requireSameSlots(t, rng, build(Options{}), build(Options{Backing: BackIndexed}), g.NumLinks(), 50)
 }
 
 // TestOptionsValidation pins the option error paths and ParseBacking.
 func TestOptionsValidation(t *testing.T) {
 	for s, want := range map[string]Backing{
-		"": BackAuto, "auto": BackAuto, "dense": BackDense,
-		"csr": BackCSR, "indexed": BackIndexed,
+		"": BackDense, "auto": BackDense, "dense": BackDense,
+		"indexed": BackIndexed,
 	} {
 		got, err := ParseBacking(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseBacking(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseBacking("mmap"); err == nil {
-		t.Fatal("ParseBacking accepted an unknown backing")
+	for _, s := range []string{"mmap", "csr"} {
+		if _, err := ParseBacking(s); err == nil {
+			t.Fatalf("ParseBacking accepted the unknown backing %q", s)
+		}
 	}
 	for name, opt := range map[string]Options{
 		"farfloor without indexed": {FarFloor: 0.1},
 		"farfloor ≥ 1":             {Backing: BackIndexed, FarFloor: 1},
 		"negative farfloor":        {Backing: BackIndexed, FarFloor: -0.1},
 		"negative cell":            {Backing: BackIndexed, CellSize: -1},
-		"negative threshold":       {DenseMaxLinks: -1},
 	} {
 		if err := opt.validate(); err == nil {
 			t.Errorf("%s: validate accepted %+v", name, opt)

@@ -17,7 +17,7 @@ import (
 // scales with √m so density — and therefore per-link interference — is
 // comparable across sizes; at m=128 the instance is bit-identical to
 // the original fixed-size scale test. opt selects the interference
-// backing; the zero value is the seed configuration (dense/CSR table).
+// backing; the zero value is the default dense cross table.
 func runScale(t *testing.T, m int, lambda float64, frames int64, opt sinr.Options) {
 	t.Helper()
 	g := NewGraph(2 * m)

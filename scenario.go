@@ -12,6 +12,7 @@ import (
 	"dynsched/internal/cli"
 	"dynsched/internal/inject"
 	"dynsched/internal/sim"
+	"dynsched/internal/sinr"
 )
 
 // ---- Scenario specs ----
@@ -71,13 +72,10 @@ type ModelSpec struct {
 	Kind string `json:"kind"`
 	// Loss adds independent per-transmission loss with this probability.
 	Loss float64 `json:"loss,omitempty"`
-	// Backing selects the SINR interference-table storage: auto (default),
-	// dense, csr, or indexed (the spatial grid; requires planar
-	// positions).
+	// Backing selects the SINR interference storage: dense (the default
+	// flat cross table; "auto" is accepted as its alias) or indexed (the
+	// spatial grid; requires planar positions).
 	Backing string `json:"backing,omitempty"`
-	// DenseMax moves the dense-vs-CSR auto threshold (0 = built-in
-	// default).
-	DenseMax int `json:"denseMax,omitempty"`
 	// FarFloor is the indexed backing's far-field contribution floor ε:
 	// 0 keeps the backing bit-identical to the flat tables, ε > 0 lets
 	// per-slot cost scale with local density inside the documented
@@ -261,8 +259,8 @@ func WithGenerator(gen GeneratorSpec) ScenarioOption {
 // WithModel selects the interference model kind.
 func WithModel(kind string) ScenarioOption { return func(s *Scenario) { s.Model.Kind = kind } }
 
-// WithBacking selects the SINR table storage: auto, dense, csr, or
-// indexed. FarFloor > 0 enables the indexed backing's far-field
+// WithBacking selects the SINR interference storage: dense (the
+// default) or indexed. FarFloor > 0 enables the indexed backing's far-field
 // contribution floor ε (0 stays bit-identical to the flat tables).
 func WithBacking(backing string, farFloor float64) ScenarioOption {
 	return func(s *Scenario) { s.Model.Backing, s.Model.FarFloor = backing, farFloor }
@@ -380,9 +378,9 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("dynsched: scenario %q: unknown traffic pattern %q", s.Name, s.Traffic.Pattern)
 	}
 	switch s.Model.Backing {
-	case "", "auto", "dense", "csr", "indexed":
+	case "", "auto", "dense", "indexed":
 	default:
-		return fmt.Errorf("dynsched: scenario %q: unknown model backing %q (want auto, dense, csr, or indexed)", s.Name, s.Model.Backing)
+		return fmt.Errorf("dynsched: scenario %q: unknown model backing %q (want dense or indexed)", s.Name, s.Model.Backing)
 	}
 	if !(s.Model.FarFloor >= 0 && s.Model.FarFloor < 1) {
 		return fmt.Errorf("dynsched: scenario %q: model farFloor %v outside [0,1)", s.Name, s.Model.FarFloor)
@@ -474,7 +472,6 @@ func (s Scenario) options() cli.Options {
 		Frame:         s.Protocol.Frame,
 		DisableDelays: s.Protocol.DisableDelays,
 		Backing:       s.Model.Backing,
-		DenseMaxLinks: s.Model.DenseMax,
 		FarFloor:      s.Model.FarFloor,
 		CellSize:      s.Model.Cell,
 		Trace:         s.Traffic.Trace,
@@ -499,19 +496,15 @@ func (s Scenario) simConfig() SimConfig {
 	}
 }
 
+// ModelDiagnostics records which interference-table backing a compiled
+// SINR model uses and with which knobs — inspect it (or let
+// cmd/dynsched print it) to confirm a scale run actually uses the
+// spatial index rather than an O(n²) table. It is the scenario-level
+// alias of the SINR layer's table record.
+type ModelDiagnostics = sinr.TableInfo
+
 // CompiledScenario holds the runnable components a scenario validates
 // and wires together: inspect the graph or protocol sizing, then Run.
-// ModelDiagnostics records which interference-table backing a compiled
-// SINR model resolved to and with which knobs — inspect it (or let
-// cmd/dynsched print it) to confirm a scale run actually uses the
-// spatial index rather than an O(n²) table.
-type ModelDiagnostics struct {
-	Backing       string  `json:"backing"`
-	DenseMaxLinks int     `json:"denseMaxLinks"`
-	FarFloor      float64 `json:"farFloor,omitempty"`
-	CellSize      float64 `json:"cellSize,omitempty"`
-}
-
 type CompiledScenario struct {
 	Scenario  Scenario
 	Graph     *Graph
@@ -540,15 +533,6 @@ func (s Scenario) Compile() (*CompiledScenario, error) {
 	for _, f := range s.Observers {
 		obs = append(obs, f())
 	}
-	var diag *ModelDiagnostics
-	if w.Diag != nil {
-		diag = &ModelDiagnostics{
-			Backing:       w.Diag.Backing,
-			DenseMaxLinks: w.Diag.DenseMaxLinks,
-			FarFloor:      w.Diag.FarFloor,
-			CellSize:      w.Diag.CellSize,
-		}
-	}
 	return &CompiledScenario{
 		Scenario:    s,
 		Graph:       w.Graph,
@@ -557,7 +541,7 @@ func (s Scenario) Compile() (*CompiledScenario, error) {
 		Protocol:    w.Protocol,
 		Config:      s.simConfig(),
 		Observers:   obs,
-		Diagnostics: diag,
+		Diagnostics: w.Diag,
 	}, nil
 }
 

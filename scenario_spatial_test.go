@@ -157,9 +157,8 @@ func TestGeneratorSpecHashing(t *testing.T) {
 		"generator kind":  func(s *Scenario) { s.Network.Generator.Kind = "uniform" },
 		"generator seed":  func(s *Scenario) { s.Network.Generator.Seed = 10 },
 		"generator side":  func(s *Scenario) { s.Network.Generator.Side = 500 },
-		"model backing":   func(s *Scenario) { s.Model.Backing = "csr"; s.Model.FarFloor = 0 },
+		"model backing":   func(s *Scenario) { s.Model.Backing = "dense"; s.Model.FarFloor = 0 },
 		"model farFloor":  func(s *Scenario) { s.Model.FarFloor = 0.02 },
-		"model denseMax":  func(s *Scenario) { s.Model.DenseMax = 64 },
 		"model cell size": func(s *Scenario) { s.Model.Cell = 2 },
 	}
 	for name, mutate := range perturb {

@@ -258,6 +258,7 @@ func TestScenarioValidation(t *testing.T) {
 		{"pattern", func(s *Scenario) { s.Traffic.Pattern = "quantum" }, "traffic pattern"},
 		{"sweep axis", func(s *Scenario) { s.Sweep = SweepSpec{Axis: "spin", Values: []float64{1}} }, "sweep axis"},
 		{"sweep empty", func(s *Scenario) { s.Sweep = SweepSpec{Axis: "lambda"} }, "no values"},
+		{"csr backing", func(s *Scenario) { s.Model.Backing = "csr" }, "unknown model backing"},
 	}
 	for _, c := range cases {
 		s := NewScenario("valid")
@@ -266,6 +267,11 @@ func TestScenarioValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v does not mention %q", c.name, err, c.want)
 		}
+	}
+	// The dense-threshold knob is gone: a spec that carries it is refused.
+	doc := `{"name":"dense-max","model":{"kind":"sinr-uniform","denseMax":64},"sim":{"slots":100}}`
+	if _, err := ParseScenario([]byte(doc)); err == nil || !strings.Contains(err.Error(), "denseMax") {
+		t.Errorf("denseMax spec: error %v does not name denseMax", err)
 	}
 	// Unknown model/topology/alg surface from Compile.
 	s := NewScenario("bad-model", WithModel("tachyon"))
