@@ -354,9 +354,6 @@ func run(ctx context.Context, sc dynsched.Scenario, queueCSV string, asJSON bool
 		if d.FarFloor > 0 {
 			line += fmt.Sprintf("  far-field floor ε=%g", d.FarFloor)
 		}
-		if d.CellSize > 0 {
-			line += fmt.Sprintf("  cell=%g", d.CellSize)
-		}
 		fmt.Println(line)
 	}
 	fmt.Printf("protocol:    %s  frame T=%d  J=%d  main=%d  cleanup=%d  δmax=%d\n",

@@ -79,11 +79,9 @@ func main() {
 		ProgressEvery:   so.ProgressEvery,
 		JournalDir:      so.JournalDir,
 		CheckpointEvery: so.CheckpointEvery,
-
-		ResolveParallelism: so.ResolveParallelism,
-		LeaseExpiry:        so.LeaseExpiry,
-		FleetBatchMax:      so.FleetBatchMax,
-		FleetLocal:         so.FleetLocal,
+		LeaseExpiry:     so.LeaseExpiry,
+		FleetBatchMax:   so.FleetBatchMax,
+		FleetLocal:      so.FleetLocal,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynschedd:", err)

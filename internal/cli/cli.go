@@ -50,17 +50,10 @@ type Options struct {
 
 	// SINR model storage knobs (ignored by non-SINR models). Backing is
 	// "", auto or dense (the flat cross table) or indexed (the spatial
-	// grid); FarFloor and CellSize tune the indexed backing's far-field
-	// contribution floor ε and spatial cell size.
+	// grid); FarFloor is the indexed backing's far-field contribution
+	// floor ε.
 	Backing  string  `json:"backing"`
 	FarFloor float64 `json:"farFloor"`
-	CellSize float64 `json:"cellSize"`
-
-	// ResolveParallelism sets the intra-slot interference-resolution
-	// worker count baked into SINR model resolvers (0 = GOMAXPROCS,
-	// 1 = serial). A pure execution knob: results are bit-identical at
-	// every value.
-	ResolveParallelism int `json:"resolveParallelism,omitempty"`
 }
 
 // Workload is the assembled simulation input.
@@ -151,12 +144,7 @@ func modelOptions(o Options) (sinr.Options, error) {
 	if err != nil {
 		return sinr.Options{}, err
 	}
-	return sinr.Options{
-		Backing:     backing,
-		FarFloor:    o.FarFloor,
-		CellSize:    o.CellSize,
-		Parallelism: o.ResolveParallelism,
-	}, nil
+	return sinr.Options{Backing: backing, FarFloor: o.FarFloor}, nil
 }
 
 func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *sinr.TableInfo, []netgraph.Path, int, int, error) {

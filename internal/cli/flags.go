@@ -30,7 +30,6 @@ func RegisterWorkloadFlags(fs *flag.FlagSet, o *Options) {
 	fs.Float64Var(&o.LossP, "loss", o.LossP, "independent per-transmission loss probability")
 	fs.IntVar(&o.Frame, "frame", o.Frame, "frame length T override (0 = solve)")
 	fs.BoolVar(&o.DisableDelays, "no-delays", o.DisableDelays, "disable the adversarial random initial delays (ablation)")
-	fs.IntVar(&o.ResolveParallelism, "resolve-parallelism", o.ResolveParallelism, "intra-slot interference-resolution workers (0 = all CPUs, 1 = serial); results are bit-identical at every value")
 }
 
 // ServerOptions mirror cmd/dynschedd's flags: where to listen and how
@@ -59,11 +58,6 @@ type ServerOptions struct {
 	// listener. Off by default: the profiling surface is a diagnostic
 	// tool, not part of the API.
 	Pprof bool
-	// ResolveParallelism is the default intra-slot resolution worker
-	// count injected into submitted scenarios that leave theirs at 0
-	// (0 = leave the model default, 1 = force serial). A pure execution
-	// knob: it never changes results or cache keys.
-	ResolveParallelism int
 	// Join, when set, turns the process into a fleet runner: instead of
 	// serving the job API it leases plan-unit batches from the
 	// coordinator at this base URL, executes them locally and streams
@@ -99,7 +93,6 @@ func RegisterServerFlags(fs *flag.FlagSet, o *ServerOptions) {
 	fs.Int64Var(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery, "engine checkpoint period in slots with -journal-dir (0 = 10000, negative = off)")
 	fs.DurationVar(&o.ShutdownGrace, "shutdown-grace", o.ShutdownGrace, "how long a draining shutdown lets running jobs finish before dropping them for recovery")
 	fs.BoolVar(&o.Pprof, "pprof", o.Pprof, "serve net/http/pprof under /debug/pprof/ for live profiling")
-	fs.IntVar(&o.ResolveParallelism, "resolve-parallelism", o.ResolveParallelism, "default intra-slot resolution workers for submitted scenarios that leave theirs unset (0 = model default, 1 = serial)")
 	fs.StringVar(&o.Join, "join", o.Join, "run as a fleet runner leasing plan units from the coordinator at this base URL (e.g. http://coord:8080); -addr then serves only the runner's /healthz and /metrics")
 	fs.StringVar(&o.RunnerID, "runner-id", o.RunnerID, "fleet roster name for this runner with -join (empty = host.pid)")
 	fs.DurationVar(&o.LeaseExpiry, "lease-expiry", o.LeaseExpiry, "fleet lease lifetime; a runner silent for this long is presumed dead and its units are re-granted (0 = 15s)")

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"dynsched"
 	"dynsched/api"
@@ -52,9 +51,11 @@ func sweepSubmission(t *testing.T, name string, slots int64, values ...float64) 
 	return body
 }
 
+// waitDone follows the job's event stream, which ends at the terminal
+// event, and returns the terminal view; the server sets the state
+// before publishing that event. A hang is bounded by go test -timeout.
 func waitDone(t *testing.T, c *Client, id string) api.JobView {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
 	for {
 		v, err := c.Job(context.Background(), id)
 		if err != nil {
@@ -63,10 +64,9 @@ func waitDone(t *testing.T, c *Client, id string) api.JobView {
 		if v.State.Terminal() {
 			return v
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after 30s", id, v.State)
+		if err := c.Events(context.Background(), id, func(api.Event) error { return nil }); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -24,12 +24,7 @@ type Geometry struct {
 // selections whose bounding boxes wobble within the same lattice cells
 // produce the *same* Geometry, which is what lets the incremental path
 // reuse the previous slot's cell assignments.
-//
-// An explicit cellSize > 0 is used verbatim (snapped origin, no
-// rounding) unless it would explode the cell count relative to the
-// selection — the same guard Fill applies — in which case the quantized
-// automatic size takes over.
-func StableGeometry(pts []Point, sel []int32, cellSize float64) Geometry {
+func StableGeometry(pts []Point, sel []int32) Geometry {
 	k := len(sel)
 	if k == 0 {
 		return Geometry{}
@@ -50,14 +45,7 @@ func StableGeometry(pts []Point, sel []int32, cellSize float64) Geometry {
 			max.Y = p.Y
 		}
 	}
-	w, h := max.X-min.X, max.Y-min.Y
-	auto := autoCell(w, h, k)
-	cell := cellSize
-	if cell <= 0 || !(cell < math.Inf(1)) {
-		cell = quantCell(auto)
-	} else if cell < auto && (w/cell+1)*(h/cell+1) > 4*float64(k)+64 {
-		cell = quantCell(auto)
-	}
+	cell := quantCell(autoCell(max.X-min.X, max.Y-min.Y, k))
 	minX := math.Floor(min.X/cell) * cell
 	minY := math.Floor(min.Y/cell) * cell
 	return Geometry{

@@ -86,12 +86,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		sc.Sim.Seed = *req.Seed
 	}
-	// Inject the daemon's default intra-slot resolution worker count
-	// into scenarios that leave theirs unset. Hash excludes the knob, so
-	// cached results stay shared between serial and parallel daemons.
-	if s.cfg.ResolveParallelism > 0 && sc.Sim.ResolveParallelism == 0 {
-		sc.Sim.ResolveParallelism = s.cfg.ResolveParallelism
-	}
 	reps := req.Reps
 	if reps == 0 {
 		reps = 1

@@ -186,12 +186,18 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 
 // resubmit re-enqueues an incomplete job under its original ID with
 // recovered set, re-journaling its submit record into the compacted
-// snapshot. A job whose spec no longer plans (library drift) or that
-// finds the queue full turns failed with a diagnostic instead of
-// silently vanishing.
+// snapshot. A job whose spec no longer plans (library drift), whose
+// re-planned spec no longer hashes to its journaled address (replay
+// decodes leniently, so a removed field vanishes from the spec), or
+// that finds the queue full turns failed with a diagnostic instead of
+// silently vanishing or caching a different experiment's results under
+// the old address.
 func (s *Server) resubmit(rj *replayedJob) {
 	j := newJob(rj.id, rj.hash, rj.spec)
 	p, err := rj.spec.Plan(max(rj.reps, 1))
+	if err == nil && rj.hash != "" && rj.hash != docHash(p) {
+		err = fmt.Errorf("journaled hash %s, but the re-planned spec hashes to %s", rj.hash, docHash(p))
+	}
 	if err == nil {
 		j = newPlanJob(rj.id, rj.hash, p)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -273,17 +274,15 @@ func TestSingleRunResumesFromCheckpoint(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 	_, view := submitScenario(t, ts1, sc)
 
-	// Crash once the run has persisted a checkpoint.
-	deadline := time.Now().Add(30 * time.Second)
+	// Crash once the run has persisted a checkpoint. No event reports
+	// the write, so poll the store; a hang is bounded by go test
+	// -timeout.
 	for {
 		if _, err := os.Stat(s1.ckptPath(sc.Hash())); err == nil {
 			break
 		}
 		if v := getJob(t, ts1, view.ID); v.State.Terminal() {
 			t.Fatalf("job reached %s before a checkpoint was written", v.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint written before deadline")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -332,11 +331,14 @@ func TestSingleRunResumesFromCheckpoint(t *testing.T) {
 	_ = s2.journal.Close()
 }
 
-// TestLegacyUnitRecordsRecovered pins that replay accepts journals
-// holding per-unit "unit" records, an older record kind the server
-// does not write: a sweep cut off after two such records recovers,
-// serves the unit whose result reached the cache from it, and
-// finishes byte-identical to an uninterrupted run.
+// TestLegacyUnitRecordsRecovered pins that replay accepts journals an
+// older version wrote: per-unit "unit" records, a record kind the
+// server no longer writes, and a spec naming the removed
+// "resolveParallelism" execution knob under its real hash (the knob
+// never entered the hash, so the spec still hashes to it). A sweep cut
+// off after two unit records recovers, serves the unit whose result
+// reached the cache from it, and finishes byte-identical to an
+// uninterrupted run.
 func TestLegacyUnitRecordsRecovered(t *testing.T) {
 	journalDir, cacheDir := t.TempDir(), t.TempDir()
 	sc := sweepScenario("legacy-journal", 2_000, 0.1, 0.2, 0.3)
@@ -362,12 +364,23 @@ func TestLegacyUnitRecordsRecovered(t *testing.T) {
 	}
 	NewCache(0, cacheDir, 0).Put(p.Units[0].Hash, data)
 
+	// The spec as the older version journaled it.
+	raw, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec map[string]any
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec["sim"].(map[string]any)["resolveParallelism"] = 2
+
 	jn, err := journal.Open(journalDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []map[string]any{
-		{"op": "submit", "id": "job-1", "hash": p.Hash(), "spec": sc, "reps": 1},
+		{"op": "submit", "id": "job-1", "hash": p.Hash(), "spec": spec, "reps": 1},
 		{"op": "unit", "id": "job-1", "index": 0, "hash": p.Units[0].Hash},
 		{"op": "unit", "id": "job-1", "index": 1, "hash": p.Units[1].Hash},
 	} {
@@ -413,27 +426,54 @@ func TestLegacyUnitRecordsRecovered(t *testing.T) {
 }
 
 // TestRecoveryFailsSpecThatNoLongerValidates pins resubmit's failure
-// branch: a journaled spec naming the removed "csr" backing (and the
-// removed denseMax knob) no longer plans, so the recovered job turns
-// failed with a diagnostic instead of vanishing, and the server still
-// accepts and runs fresh work.
+// branch for journaled specs an older version accepted. One names the
+// removed "csr" backing (and the removed denseMax knob) and no longer
+// plans. The other names the removed model "cell" size under the hash
+// that version gave it; replay drops the unknown field, so the spec
+// still plans but hashes elsewhere, and running it under the journaled
+// hash would cache another experiment's results at that address. Both
+// recovered jobs turn failed with a diagnostic instead, and the server
+// still accepts and runs fresh work.
 func TestRecoveryFailsSpecThatNoLongerValidates(t *testing.T) {
 	journalDir := t.TempDir()
 	jn, err := journal.Open(journalDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := map[string]any{
-		"name":  "legacy-csr",
-		"model": map[string]any{"kind": "sinr-uniform", "backing": "csr", "denseMax": 64},
-		"sim":   map[string]any{"slots": 1_000, "seed": 1},
+	legacy := []struct {
+		hash string
+		spec map[string]any
+		want string
+	}{
+		{
+			hash: "legacy",
+			spec: map[string]any{
+				"name":  "legacy-csr",
+				"model": map[string]any{"kind": "sinr-uniform", "backing": "csr", "denseMax": 64},
+				"sim":   map[string]any{"slots": 1_000, "seed": 1},
+			},
+			want: "unknown model backing",
+		},
+		{
+			// The spec's hash while "cell" was a model field; without
+			// it the spec hashes to ee8726e6….
+			hash: "5d6264f4194c20179dcffb137ddeff2fc86fcc7d5e801d817cc5890914f5152b",
+			spec: map[string]any{
+				"name":  "legacy-cell",
+				"model": map[string]any{"kind": "sinr-uniform", "backing": "indexed", "cell": 2},
+				"sim":   map[string]any{"slots": 1_000, "seed": 1},
+			},
+			want: "re-planned spec hashes to ee8726e6",
+		},
 	}
-	payload, err := json.Marshal(map[string]any{"op": "submit", "id": "job-1", "hash": "legacy", "spec": spec, "reps": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jn.Append(payload, true); err != nil {
-		t.Fatal(err)
+	for i, rec := range legacy {
+		payload, err := json.Marshal(map[string]any{"op": "submit", "id": fmt.Sprintf("job-%d", i+1), "hash": rec.hash, "spec": rec.spec, "reps": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.Append(payload, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := jn.Close(); err != nil {
 		t.Fatal(err)
@@ -452,13 +492,15 @@ func TestRecoveryFailsSpecThatNoLongerValidates(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	failed := getJob(t, ts, "job-1")
-	if failed.State != StateFailed {
-		t.Fatalf("legacy job state %s, want failed: %+v", failed.State, failed)
-	}
-	for _, want := range []string{"recovering job", "unknown model backing"} {
-		if !strings.Contains(failed.Error, want) {
-			t.Fatalf("legacy job error %q does not mention %q", failed.Error, want)
+	for i, rec := range legacy {
+		failed := getJob(t, ts, fmt.Sprintf("job-%d", i+1))
+		if failed.State != StateFailed {
+			t.Fatalf("%s: legacy job state %s, want failed: %+v", rec.spec["name"], failed.State, failed)
+		}
+		for _, want := range []string{"recovering job", rec.want} {
+			if !strings.Contains(failed.Error, want) {
+				t.Fatalf("%s: legacy job error %q does not mention %q", rec.spec["name"], failed.Error, want)
+			}
 		}
 	}
 

@@ -88,12 +88,6 @@ type Config struct {
 	// 10_000, negative disables checkpointing. Ignored without a
 	// JournalDir.
 	CheckpointEvery int64
-	// ResolveParallelism, when positive, is the intra-slot resolution
-	// worker count injected into submitted scenarios that leave their
-	// own Sim.ResolveParallelism at 0. An execution knob only: results
-	// are bit-identical at every value and scenario hashes (and hence
-	// cache keys) exclude it.
-	ResolveParallelism int
 	// LeaseExpiry is the fleet lease lifetime (0 = 15s): a runner that
 	// neither reports nor heartbeats for this long is presumed dead and
 	// its units are re-granted elsewhere.

@@ -57,13 +57,12 @@ type Observer interface {
 }
 
 // ResolveObserver is an optional Observer extension notified once per
-// run, before the first slot, with the interference model and the
-// requested intra-slot parallelism (Config.ResolveParallelism, 0 =
-// model default). Observers use it to surface resolver configuration
-// and cumulative resolver statistics (interference
-// ResolveStatsProvider) without touching the hot loop.
+// run, before the first slot, with the interference model. Observers
+// use it to surface resolver configuration and cumulative resolver
+// statistics (interference ResolveStatsProvider) without touching the
+// hot loop.
 type ResolveObserver interface {
-	OnResolve(model interference.Model, requested int)
+	OnResolve(model interference.Model)
 }
 
 // BaseObserver is a no-op Observer for embedding, so custom observers

@@ -61,14 +61,6 @@ type Config struct {
 	// replications across: 0 means GOMAXPROCS, 1 runs serially inline.
 	// Results are bit-identical for every value.
 	Parallel int
-	// ResolveParallelism requests an intra-slot worker count from models
-	// that support parallel slot resolution (interference
-	// ParallelResolver): 0 defers to the model's own default (typically
-	// GOMAXPROCS), 1 forces strictly serial resolution, n uses n
-	// workers. Like Parallel it is a pure execution knob — results are
-	// bit-identical for every value — so it is excluded from scenario
-	// hashes.
-	ResolveParallelism int
 	// Checkpoint configures periodic state capture and resume (nil
 	// disables both). Resumed runs are bit-identical to uninterrupted
 	// ones; see CheckpointSpec.
@@ -208,12 +200,12 @@ func Run(ctx context.Context, cfg Config, model interference.Model, proc inject.
 	arena := newPacketArena()
 	intern := NewPathInterner()
 	// Per-run slot resolver and link buffer: models that support it
-	// resolve slots allocation-free (sharded across intra-slot workers
-	// when requested), and the link vector is reused.
-	resolve := interference.ResolveFuncN(model, cfg.ResolveParallelism)
+	// resolve slots allocation-free (large slots sharded across the
+	// model's intra-slot workers), and the link vector is reused.
+	resolve := interference.ResolveFunc(model)
 	for _, o := range obs {
 		if ro, ok := o.(ResolveObserver); ok {
-			ro.OnResolve(model, cfg.ResolveParallelism)
+			ro.OnResolve(model)
 		}
 	}
 	var links []int

@@ -109,16 +109,11 @@ func (m *EngineMetrics) NewObserver(sampleEvery int64) *MetricsObserver {
 // several runs share one model concurrently, the attribution of grid
 // counter increments between them is approximate; the shared totals
 // stay exact.)
-func (o *MetricsObserver) OnResolve(model interference.Model, requested int) {
+func (o *MetricsObserver) OnResolve(model interference.Model) {
 	workers := 1
-	if requested > 0 {
-		workers = requested
-	}
 	if sp, ok := model.(interference.ResolveStatsProvider); ok {
 		st := sp.ResolveStats()
-		if requested == 0 {
-			workers = st.Workers
-		}
+		workers = st.Workers
 		o.statsProv = sp
 		o.baseRebuilds = st.GridRebuilds
 		o.baseDeltas = st.GridDeltaUpdates

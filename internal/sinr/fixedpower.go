@@ -186,7 +186,7 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 		return &fpScratch{
 			rs:      interference.NewResolverScratch(n),
 			m:       m,
-			workers: effectiveWorkers(opt.Parallelism),
+			workers: defaultWorkers(),
 		}
 	}
 	return m, nil
@@ -481,7 +481,7 @@ func (m *FixedPower) fillSuccessesIndexed(sc *fpScratch) {
 // and therefore slot history, including checkpoint resume points — is
 // invisible in the results.
 func (m *FixedPower) prepareGrid(sc *fpScratch) {
-	geo := geom.StableGeometry(m.sendPos, sc.sel, m.opts.CellSize)
+	geo := geom.StableGeometry(m.sendPos, sc.sel)
 	if sc.grid.TryUpdate(m.sendPos, sc.sel, m.powers, geo, len(sc.sel)/2) {
 		m.gridDeltaUpdates.Add(1)
 		return
@@ -607,11 +607,10 @@ func (m *FixedPower) indexedInterference(sc *fpScratch, e int, ptotal float64, r
 // backings) no math.Pow calls — each interference term is one table
 // read. The indexed backing re-buckets the transmitting senders into its
 // reusable grid each slot and computes the near terms on the fly.
-// Large slots are sharded across the intra-slot worker pool per
-// Options.Parallelism (default GOMAXPROCS); results are bit-identical
-// at every worker count.
+// Large slots are sharded across one intra-slot worker per CPU
+// (GOMAXPROCS); results are bit-identical at every worker count.
 func (m *FixedPower) NewResolver() func(tx []int) []bool {
-	return m.NewResolverN(effectiveWorkers(m.opts.Parallelism))
+	return m.NewResolverN(defaultWorkers())
 }
 
 // NewResolverN implements interference.ParallelResolver: a resolver
@@ -633,7 +632,7 @@ func (m *FixedPower) NewResolverN(workers int) func(tx []int) []bool {
 // ResolveStats implements interference.ResolveStatsProvider.
 func (m *FixedPower) ResolveStats() interference.ResolveStats {
 	return interference.ResolveStats{
-		Workers:          effectiveWorkers(m.opts.Parallelism),
+		Workers:          defaultWorkers(),
 		GridRebuilds:     m.gridRebuilds.Load(),
 		GridDeltaUpdates: m.gridDeltaUpdates.Load(),
 	}

@@ -61,15 +61,6 @@ type Options struct {
 	// the indexed resolver then sums all interferers in the table paths'
 	// order and is bit-identical to them.
 	FarFloor float64
-	// CellSize overrides the spatial grid's cell side length (0 sizes
-	// cells automatically to ≈1 point per cell).
-	CellSize float64
-	// Parallelism is the intra-slot worker count of the model's default
-	// resolvers: 0 picks GOMAXPROCS, 1 forces strictly serial
-	// resolution, n uses n workers. Results are bit-identical at every
-	// setting — the knob trades wall-clock only — so it is an execution
-	// option, not part of a scenario's physical identity.
-	Parallelism int
 }
 
 // validate rejects option values with no defined semantics.
@@ -77,14 +68,8 @@ func (o Options) validate() error {
 	if math.IsNaN(o.FarFloor) || math.IsInf(o.FarFloor, 0) || o.FarFloor < 0 || o.FarFloor >= 1 {
 		return fmt.Errorf("sinr: FarFloor %v outside [0, 1)", o.FarFloor)
 	}
-	if math.IsNaN(o.CellSize) || math.IsInf(o.CellSize, 0) || o.CellSize < 0 {
-		return fmt.Errorf("sinr: invalid CellSize %v", o.CellSize)
-	}
 	if o.FarFloor > 0 && o.Backing != BackIndexed {
 		return fmt.Errorf("sinr: FarFloor %v requires the indexed backing", o.FarFloor)
-	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("sinr: negative Parallelism %d", o.Parallelism)
 	}
 	return nil
 }
@@ -97,8 +82,6 @@ type TableInfo struct {
 	Backing string `json:"backing"`
 	// FarFloor is the indexed backing's contribution floor ε.
 	FarFloor float64 `json:"farFloor,omitempty"`
-	// CellSize is the explicit spatial cell size (0 = automatic).
-	CellSize float64 `json:"cellSize,omitempty"`
 }
 
 // tableInfo derives the diagnostic record for the chosen backing.
@@ -106,7 +89,6 @@ func (o Options) tableInfo() TableInfo {
 	info := TableInfo{Backing: o.Backing.String()}
 	if o.Backing == BackIndexed {
 		info.FarFloor = o.FarFloor
-		info.CellSize = o.CellSize
 	}
 	return info
 }

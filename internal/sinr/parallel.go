@@ -147,11 +147,6 @@ func grainFor(n, workers int) int {
 	return g
 }
 
-// effectiveWorkers resolves a requested parallelism (0 = automatic)
-// to a concrete worker count.
-func effectiveWorkers(requested int) int {
-	if requested <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return requested
-}
+// defaultWorkers is the intra-slot worker count of a model's default
+// resolvers: one per CPU the Go scheduler may use.
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }

@@ -208,7 +208,7 @@ func NewPowerControlOpts(g *netgraph.Graph, prm Params, opt Options) (*PowerCont
 			set:     make([]int, 0, n),
 			served:  make([]bool, n),
 			m:       m,
-			workers: effectiveWorkers(opt.Parallelism),
+			workers: defaultWorkers(),
 		}
 	}
 	return m, nil
@@ -567,11 +567,11 @@ func (m *PowerControl) Successes(tx []int) []bool {
 // NewResolver implements interference.SlotResolver: identical slot
 // semantics to Successes — the feasibility computation is deterministic
 // — with every buffer reused across slots, so steady-state resolution
-// performs no allocations. Large solver systems shard across the
-// intra-slot worker pool per Options.Parallelism (default GOMAXPROCS);
-// results are bit-identical at every worker count.
+// performs no allocations. Large solver systems shard across one
+// intra-slot worker per CPU (GOMAXPROCS); results are bit-identical at
+// every worker count.
 func (m *PowerControl) NewResolver() func(tx []int) []bool {
-	return m.NewResolverN(effectiveWorkers(m.opts.Parallelism))
+	return m.NewResolverN(defaultWorkers())
 }
 
 // NewResolverN implements interference.ParallelResolver: a resolver
@@ -594,7 +594,7 @@ func (m *PowerControl) NewResolverN(workers int) func(tx []int) []bool {
 // power-control model has no spatial slot grid, so only the worker
 // count is reported.
 func (m *PowerControl) ResolveStats() interference.ResolveStats {
-	return interference.ResolveStats{Workers: effectiveWorkers(m.opts.Parallelism)}
+	return interference.ResolveStats{Workers: defaultWorkers()}
 }
 
 // shedWorst removes the link that suffers the largest summed weight from

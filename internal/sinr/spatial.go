@@ -43,10 +43,10 @@ func (m *FixedPower) buildWeightsFloorSparse() {
 		m.buildWeightsExact()
 		return
 	}
-	senderIdx := geom.NewGridIndex(m.sendPos, m.opts.CellSize)
+	senderIdx := geom.NewGridIndex(m.sendPos, 0)
 	var recvIdx *geom.GridIndex
 	if m.kind == WeightMonotone {
-		recvIdx = geom.NewGridIndex(m.recvPos, m.opts.CellSize)
+		recvIdx = geom.NewGridIndex(m.recvPos, 0)
 	}
 	invAlpha := 1 / alpha
 	m.w = nil
@@ -103,8 +103,8 @@ func (m *PowerControl) buildWeightsFloorSparse() {
 	n := m.g.NumLinks()
 	eps := m.opts.FarFloor
 	alpha := m.prm.Alpha
-	senderIdx := geom.NewGridIndex(m.sendPos, m.opts.CellSize)
-	recvIdx := geom.NewGridIndex(m.recvPos, m.opts.CellSize)
+	senderIdx := geom.NewGridIndex(m.sendPos, 0)
+	recvIdx := geom.NewGridIndex(m.recvPos, 0)
 	scale := math.Pow(2/eps, 1/alpha)
 	m.w = nil
 	m.rows = interference.SparseFromRowsParallel(n, func(e int, emit func(int32, float64)) {

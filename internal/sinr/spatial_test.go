@@ -168,7 +168,7 @@ func TestFixedPowerFarFloorSoundness(t *testing.T) {
 				ptotal += m.powers[e]
 			}
 			sc.sel = sel
-			sc.grid.Fill(m.sendPos, sel, m.powers, m.opts.CellSize)
+			sc.grid.Fill(m.sendPos, sel, m.powers, 0)
 			var ring []int32
 			for _, e := range tx {
 				near, tail := m.indexedInterference(sc, e, ptotal, &ring)
@@ -330,7 +330,6 @@ func TestOptionsValidation(t *testing.T) {
 		"farfloor without indexed": {FarFloor: 0.1},
 		"farfloor ≥ 1":             {Backing: BackIndexed, FarFloor: 1},
 		"negative farfloor":        {Backing: BackIndexed, FarFloor: -0.1},
-		"negative cell":            {Backing: BackIndexed, CellSize: -1},
 	} {
 		if err := opt.validate(); err == nil {
 			t.Errorf("%s: validate accepted %+v", name, opt)

@@ -81,8 +81,6 @@ type ModelSpec struct {
 	// per-slot cost scale with local density inside the documented
 	// soundness envelope (reported successes are always true successes).
 	FarFloor float64 `json:"farFloor,omitempty"`
-	// Cell overrides the spatial index's cell size (0 = automatic).
-	Cell float64 `json:"cell,omitempty"`
 }
 
 // TraceEvent is one packet of a recorded workload: the slot it is
@@ -129,13 +127,6 @@ type SimSpec struct {
 	// execution knob, not part of the experiment: results are
 	// bit-identical for every value, and it is excluded from Hash.
 	Parallel int `json:"parallel,omitempty"`
-	// ResolveParallelism sets the intra-slot interference-resolution
-	// worker count (0 = model default, 1 = serial, n = n workers). Like
-	// Parallel it is an execution knob, not part of the experiment:
-	// per-link interference sums keep their exact serial accumulation
-	// order at any worker count, so results are bit-identical for every
-	// value, and it is excluded from Hash.
-	ResolveParallelism int `json:"resolveParallelism,omitempty"`
 }
 
 // SweepAxis is one axis of a grid sweep: the swept parameter and its
@@ -315,13 +306,6 @@ func WithSampleEvery(n int64) ScenarioOption { return func(s *Scenario) { s.Sim.
 // WithParallel caps the Replicate worker pool.
 func WithParallel(n int) ScenarioOption { return func(s *Scenario) { s.Sim.Parallel = n } }
 
-// WithResolveParallelism sets the intra-slot interference-resolution
-// worker count (0 = model default, 1 = serial). Results are
-// bit-identical for every value.
-func WithResolveParallelism(n int) ScenarioOption {
-	return func(s *Scenario) { s.Sim.ResolveParallelism = n }
-}
-
 // WithObservers attaches observer factories to every compiled run.
 func WithObservers(factories ...ObserverFactory) ScenarioOption {
 	return func(s *Scenario) { s.Observers = append(s.Observers, factories...) }
@@ -473,10 +457,7 @@ func (s Scenario) options() cli.Options {
 		DisableDelays: s.Protocol.DisableDelays,
 		Backing:       s.Model.Backing,
 		FarFloor:      s.Model.FarFloor,
-		CellSize:      s.Model.Cell,
 		Trace:         s.Traffic.Trace,
-
-		ResolveParallelism: s.Sim.ResolveParallelism,
 	}
 	if s.Network.Generator != nil {
 		o.Gen = s.Network.Generator.cliGenerator(s.Network.Links)
@@ -487,12 +468,11 @@ func (s Scenario) options() cli.Options {
 // simConfig maps the spec's simulation parameters.
 func (s Scenario) simConfig() SimConfig {
 	return SimConfig{
-		Slots:              s.Sim.Slots,
-		Seed:               s.Sim.Seed,
-		WarmupFrac:         s.Sim.WarmupFrac,
-		SampleEvery:        s.Sim.SampleEvery,
-		Parallel:           s.Sim.Parallel,
-		ResolveParallelism: s.Sim.ResolveParallelism,
+		Slots:       s.Sim.Slots,
+		Seed:        s.Sim.Seed,
+		WarmupFrac:  s.Sim.WarmupFrac,
+		SampleEvery: s.Sim.SampleEvery,
+		Parallel:    s.Sim.Parallel,
 	}
 }
 

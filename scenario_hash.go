@@ -22,13 +22,12 @@ import (
 // float). Equal specs produce byte-identical canonical documents
 // regardless of construction order or source formatting. Fields that
 // cannot affect results are excluded: Observers are code, not data (as
-// in EncodeJSON), and Sim.Parallel and Sim.ResolveParallelism are
-// execution knobs — serial and parallel runs are pinned bit-identical,
-// so they are the same experiment and must share a content address.
+// in EncodeJSON), and Sim.Parallel is an execution knob — serial and
+// parallel runs are pinned bit-identical, so they are the same
+// experiment and must share a content address.
 func (s Scenario) CanonicalJSON() ([]byte, error) {
 	s.Observers = nil
 	s.Sim.Parallel = 0
-	s.Sim.ResolveParallelism = 0
 	raw, err := json.Marshal(s)
 	if err != nil {
 		return nil, fmt.Errorf("dynsched: canonicalising scenario %q: %w", s.Name, err)

@@ -154,12 +154,11 @@ func TestGeneratorSpecHashing(t *testing.T) {
 		t.Fatalf("generator scenario hash not deterministic: %s vs %s", h1, h2)
 	}
 	perturb := map[string]func(*Scenario){
-		"generator kind":  func(s *Scenario) { s.Network.Generator.Kind = "uniform" },
-		"generator seed":  func(s *Scenario) { s.Network.Generator.Seed = 10 },
-		"generator side":  func(s *Scenario) { s.Network.Generator.Side = 500 },
-		"model backing":   func(s *Scenario) { s.Model.Backing = "dense"; s.Model.FarFloor = 0 },
-		"model farFloor":  func(s *Scenario) { s.Model.FarFloor = 0.02 },
-		"model cell size": func(s *Scenario) { s.Model.Cell = 2 },
+		"generator kind": func(s *Scenario) { s.Network.Generator.Kind = "uniform" },
+		"generator seed": func(s *Scenario) { s.Network.Generator.Seed = 10 },
+		"generator side": func(s *Scenario) { s.Network.Generator.Side = 500 },
+		"model backing":  func(s *Scenario) { s.Model.Backing = "dense"; s.Model.FarFloor = 0 },
+		"model farFloor": func(s *Scenario) { s.Model.FarFloor = 0.02 },
 	}
 	for name, mutate := range perturb {
 		c := base
