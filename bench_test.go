@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynsched/internal/experiments"
+	"dynsched/internal/inject"
 	"dynsched/internal/interference"
 	"dynsched/internal/journal"
 	"dynsched/internal/metrics"
@@ -16,12 +17,12 @@ import (
 	"dynsched/internal/static"
 )
 
-// ---- One benchmark per paper experiment (see DESIGN.md §4) ----
+// ---- One benchmark per paper experiment (README, "Reproducing the paper") ----
 //
-// Each bench runs the corresponding experiment at Quick scale; the
-// cmd/experiments binary reproduces the full-scale EXPERIMENTS.md
-// numbers. Benchmarks double as end-to-end regression checks: any error
-// fails the bench.
+// Each bench runs the corresponding experiment at Quick scale;
+// `go run ./cmd/experiments -scale full -markdown` prints the
+// full-scale tables. Benchmarks double as end-to-end regression
+// checks: any error fails the bench.
 
 func benchExperiment(b *testing.B, id string) {
 	r, ok := experiments.ByID(id)
@@ -210,6 +211,78 @@ func BenchmarkStaticSpread(b *testing.B) {
 		if !res.AllServed() {
 			b.Fatal("spread failed")
 		}
+	}
+}
+
+// The shape of sinr-grid-4k: about 33 packets per slot over 4096
+// single-hop links, so a 2816-slot frame hands its main phase about 22
+// requests per link, run as Spread against the capacity J = 176.
+const (
+	grid4kLinks      = 4096
+	grid4kPacketRate = 33.0
+	grid4kJ          = 176
+)
+
+// BenchmarkSpreadRound4k steps one recycled Spread execution through
+// its first round (⌈4·J⌉ = 704 slots) over a grid4k-sized request set,
+// feeding back identity-model outcomes: an attempt succeeds when it is
+// alone on its link. One op is one recycle plus one round.
+func BenchmarkSpreadRound4k(b *testing.B) {
+	const perLink = 22
+	// Boxed once: converting Identity to a Model on every recycle
+	// would allocate.
+	var m interference.Model = interference.Identity{Links: grid4kLinks}
+	reqs := make([]static.Request, 0, grid4kLinks*perLink)
+	for i := 0; i < cap(reqs); i++ {
+		reqs = append(reqs, static.Request{Link: i % grid4kLinks, Tag: int64(i)})
+	}
+	alg := static.Spread{MeasureBound: grid4kJ}
+	roundLen := int(math.Ceil(4 * grid4kJ))
+	rng := rand.New(rand.NewSource(4))
+	var exec static.Execution
+	success := make([]bool, 0, len(reqs))
+	round := func() {
+		exec = alg.RecycleExecution(exec, m, reqs)
+		for s := 0; s < roundLen; s++ {
+			att := exec.Attempts(rng)
+			success = success[:len(att)]
+			for i, idx := range att {
+				link := reqs[idx].Link
+				success[i] = (i == 0 || reqs[att[i-1]].Link != link) &&
+					(i == len(att)-1 || reqs[att[i+1]].Link != link)
+			}
+			exec.Observe(att, success)
+		}
+	}
+	round() // allocate the execution's buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// BenchmarkStochasticStep4k is one injection slot of 4096 single-hop
+// generators at grid4k's packet rate: one Float64 draw per generator.
+func BenchmarkStochasticStep4k(b *testing.B) {
+	gens := make([]inject.Generator, grid4kLinks)
+	for e := range gens {
+		gens[e] = inject.Generator{Choices: []inject.PathChoice{
+			{Path: netgraph.Path{netgraph.LinkID(e)}, P: grid4kPacketRate / grid4kLinks},
+		}}
+	}
+	proc, err := inject.NewStochastic(interference.Identity{Links: grid4kLinks}, gens)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for t := int64(0); t < 2000; t++ {
+		proc.Step(t, rng) // grow the result buffer to its steady size
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		proc.Step(int64(i), rng)
 	}
 }
 

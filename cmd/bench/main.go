@@ -41,6 +41,7 @@ const microBenches = "^(BenchmarkMeasure64Links|BenchmarkMeasure64LinksDense|" +
 	"BenchmarkIncrementalMeasure64|BenchmarkSINRSuccesses16Tx|" +
 	"BenchmarkSINRSuccessesAlloc16Tx|BenchmarkAffectanceMatrixBuild64|" +
 	"BenchmarkStaticDecay|BenchmarkStaticSpread|BenchmarkPowerControlSolve8|" +
+	"BenchmarkSpreadRound4k|BenchmarkStochasticStep4k|" +
 	"BenchmarkDynamicProtocolSlot|BenchmarkDynamicProtocolSlotTraced|" +
 	"BenchmarkPlanSweep64|BenchmarkSlotResolve100k|BenchmarkSlotResolveDelta100k|" +
 	"BenchmarkJournalAppend|BenchmarkCheckpoint100k)$"

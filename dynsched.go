@@ -37,8 +37,8 @@
 // protocols, Simulate/Replicate) remain exported below for programs
 // that need to assemble components by hand.
 //
-// See the examples directory for complete programs and DESIGN.md for
-// the system inventory.
+// See the examples directory for complete programs and the README's
+// "Module layout" for the system inventory.
 package dynsched
 
 import (

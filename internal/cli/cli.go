@@ -147,19 +147,49 @@ func modelOptions(o Options) (sinr.Options, error) {
 	return sinr.Options{Backing: backing, FarFloor: o.FarFloor}, nil
 }
 
-func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *sinr.TableInfo, []netgraph.Path, int, int, error) {
-	rng := rand.New(rand.NewSource(o.Seed))
-	topology := o.Topology
-	if topology == "" || topology == "auto" {
-		switch o.Model {
-		case "identity":
-			topology = "line"
-		case "mac":
-			topology = "mac"
-		default:
-			topology = "pairs"
+// topology returns the topology Build uses: the named one, or for ""
+// and "auto" the natural one of the model kind.
+func (o Options) topology() string {
+	if o.Topology != "" && o.Topology != "auto" {
+		return o.Topology
+	}
+	switch o.Model {
+	case "identity":
+		return "line"
+	case "mac":
+		return "mac"
+	default:
+		return "pairs"
+	}
+}
+
+// CheckNetwork reports a network too small to route over. Every
+// topology needs at least one link; the line and grid builders derive
+// theirs from the node count.
+func (o Options) CheckNetwork() error {
+	switch topology := o.topology(); topology {
+	case "line":
+		if o.Nodes < 2 {
+			return fmt.Errorf("topology \"line\" needs at least 2 nodes, got %d", o.Nodes)
+		}
+	case "grid", "grid-convergecast":
+		if o.Nodes < 4 {
+			return fmt.Errorf("topology %q needs at least 4 nodes, got %d", topology, o.Nodes)
+		}
+	case "pairs", "nested", "mac":
+		if o.Links < 1 {
+			return fmt.Errorf("topology %q needs at least 1 link, got %d", topology, o.Links)
 		}
 	}
+	return nil
+}
+
+func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *sinr.TableInfo, []netgraph.Path, int, int, error) {
+	if err := o.CheckNetwork(); err != nil {
+		return nil, nil, nil, nil, 0, 0, err
+	}
+	rng := rand.New(rand.NewSource(o.Seed))
+	topology := o.topology()
 
 	var g *netgraph.Graph
 	var paths []netgraph.Path

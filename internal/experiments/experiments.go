@@ -1,9 +1,9 @@
-// Package experiments contains one runner per paper claim (E1–E15 in
-// DESIGN.md). Each runner builds its workload, executes the relevant
-// protocols or algorithms, and returns a Table whose rows mirror what
-// the paper's theorems predict — schedule-length scaling, stability
-// frontiers, competitive ratios, latency growth, and the lower-bound
-// separation. The cmd/experiments binary prints all tables;
+// Package experiments contains one runner per paper claim (E1–E15; see
+// the README, "Reproducing the paper"). Each runner builds its
+// workload, executes the relevant protocols or algorithms, and returns
+// a Table whose rows mirror what the paper's theorems predict —
+// schedule-length scaling, stability frontiers, competitive ratios,
+// latency growth, and the lower-bound separation. The cmd/experiments binary prints all tables;
 // bench_test.go wires each runner into a benchmark.
 package experiments
 
@@ -17,8 +17,8 @@ import (
 type Scale int
 
 // Experiment scales. Quick keeps every experiment under roughly a
-// second for use in benchmarks and CI; Full reproduces the numbers
-// recorded in EXPERIMENTS.md.
+// second for use in benchmarks and CI; Full gives the paper-scale
+// numbers that `go run ./cmd/experiments -scale full -markdown` prints.
 const (
 	Quick Scale = iota + 1
 	Full

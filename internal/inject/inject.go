@@ -79,9 +79,15 @@ func (g Generator) Validate() error {
 	return nil
 }
 
-// Stochastic is the finite-user stochastic injection process.
+// Stochastic is the finite-user stochastic injection process. Every
+// generator's choices sit flattened in two contiguous arrays, so a slot
+// walks them in order: generator g owns p[end[g-1]:end[g]] and the
+// matching paths (end[-1] = 0).
 type Stochastic struct {
-	gens   []Generator
+	p      []float64
+	paths  []netgraph.Path
+	end    []int
+	single bool // every generator has exactly one choice
 	rate   float64
 	nextID int64
 	buf    []Packet // Step result buffer, reused across slots
@@ -90,23 +96,46 @@ type Stochastic struct {
 // NewStochastic builds the process and computes its exact injection
 // rate λ = ‖W·F‖∞ against the given model.
 func NewStochastic(m interference.Model, gens []Generator) (*Stochastic, error) {
+	n, single := 0, true
 	for i, g := range gens {
 		if err := g.Validate(); err != nil {
 			return nil, fmt.Errorf("generator %d: %w", i, err)
 		}
+		n += len(g.Choices)
+		single = single && len(g.Choices) == 1
 	}
-	f := make([]float64, m.NumLinks())
-	for _, g := range gens {
+	s := &Stochastic{
+		p:      make([]float64, 0, n),
+		paths:  make([]netgraph.Path, 0, n),
+		end:    make([]int, len(gens)),
+		single: single,
+	}
+	for i, g := range gens {
 		for _, c := range g.Choices {
-			for _, e := range c.Path {
-				if int(e) >= len(f) || e < 0 {
-					return nil, fmt.Errorf("inject: path link %d out of range [0,%d)", e, len(f))
-				}
-				f[e] += c.P
+			s.p = append(s.p, c.P)
+			s.paths = append(s.paths, c.Path)
+		}
+		s.end[i] = len(s.p)
+	}
+	if err := s.measureRate(m); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// measureRate sets rate = ‖W·F‖∞ from the current choice probabilities.
+func (s *Stochastic) measureRate(m interference.Model) error {
+	f := make([]float64, m.NumLinks())
+	for k, path := range s.paths {
+		for _, e := range path {
+			if int(e) >= len(f) || e < 0 {
+				return fmt.Errorf("inject: path link %d out of range [0,%d)", e, len(f))
 			}
+			f[e] += s.p[k]
 		}
 	}
-	return &Stochastic{gens: gens, rate: interference.MeasureVec(m, f)}, nil
+	s.rate = interference.MeasureVec(m, f)
+	return nil
 }
 
 // Name implements Process.
@@ -121,53 +150,45 @@ func (s *Stochastic) Rate() float64 { return s.rate }
 // packets one unit of measure budget buys under the model's W.
 func (s *Stochastic) PacketRate() float64 {
 	total := 0.0
-	for _, g := range s.gens {
-		for _, c := range g.Choices {
-			total += c.P
-		}
+	for _, p := range s.p {
+		total += p
 	}
 	return total
 }
 
-// Step implements Process. The result is written into a buffer reused
-// across slots (see the Process contract).
+// Step implements Process: one Float64 draw per generator, compared
+// against its choices' probabilities in order. The result is written
+// into a buffer reused across slots (see the Process contract).
 func (s *Stochastic) Step(t int64, rng *rand.Rand) []Packet {
 	out := s.buf[:0]
-	for _, g := range s.gens {
-		u := rng.Float64()
-		for _, c := range g.Choices {
-			if u < c.P {
+	if s.single {
+		// The shape the traffic package builds. Without the offsets
+		// fewer values stay live across each draw, which made sampling
+		// sinr-grid-4k about a sixth faster.
+		for k, p := range s.p {
+			if rng.Float64() < p {
 				s.nextID++
-				out = append(out, Packet{ID: s.nextID, Path: c.Path, Injected: t})
+				out = append(out, Packet{ID: s.nextID, Path: s.paths[k], Injected: t})
+			}
+		}
+		s.buf = out
+		return out
+	}
+	k := 0
+	for _, end := range s.end {
+		u := rng.Float64()
+		for ; k < end; k++ {
+			if u < s.p[k] {
+				s.nextID++
+				out = append(out, Packet{ID: s.nextID, Path: s.paths[k], Injected: t})
 				break
 			}
-			u -= c.P
+			u -= s.p[k]
 		}
+		k = end
 	}
 	s.buf = out
 	return out
-}
-
-// ScaleGenerators multiplies every choice probability by factor,
-// returning new generators. It returns an error if any scaled
-// generator's probabilities would exceed 1.
-func ScaleGenerators(gens []Generator, factor float64) ([]Generator, error) {
-	if factor < 0 {
-		return nil, fmt.Errorf("inject: negative scale factor %v", factor)
-	}
-	out := make([]Generator, len(gens))
-	for i, g := range gens {
-		out[i].Choices = make([]PathChoice, len(g.Choices))
-		sum := 0.0
-		for j, c := range g.Choices {
-			out[i].Choices[j] = PathChoice{Path: c.Path, P: c.P * factor}
-			sum += c.P * factor
-		}
-		if sum > 1+1e-12 {
-			return nil, fmt.Errorf("inject: generator %d scales to total probability %v > 1", i, sum)
-		}
-	}
-	return out, nil
 }
 
 // StochasticAtRate scales the generators so the process's injection
@@ -175,16 +196,30 @@ func ScaleGenerators(gens []Generator, factor float64) ([]Generator, error) {
 // if the unscaled rate is zero or if scaling would push a generator's
 // total probability above 1 (add more generators in that case).
 func StochasticAtRate(m interference.Model, gens []Generator, lambda float64) (*Stochastic, error) {
-	base, err := NewStochastic(m, gens)
+	s, err := NewStochastic(m, gens)
 	if err != nil {
 		return nil, err
 	}
-	if base.rate <= 0 {
+	if s.rate <= 0 {
 		return nil, fmt.Errorf("inject: base generators have zero injection rate")
 	}
-	scaled, err := ScaleGenerators(gens, lambda/base.rate)
-	if err != nil {
+	factor := lambda / s.rate
+	if factor < 0 {
+		return nil, fmt.Errorf("inject: negative scale factor %v", factor)
+	}
+	k := 0
+	for i, end := range s.end {
+		sum := 0.0
+		for ; k < end; k++ {
+			s.p[k] *= factor
+			sum += s.p[k]
+		}
+		if sum > 1+1e-12 {
+			return nil, fmt.Errorf("inject: generator %d scales to total probability %v > 1", i, sum)
+		}
+	}
+	if err := s.measureRate(m); err != nil {
 		return nil, err
 	}
-	return NewStochastic(m, scaled)
+	return s, nil
 }

@@ -103,9 +103,19 @@ func TestStochasticAtRate(t *testing.T) {
 	if math.Abs(s.Rate()-0.25) > 1e-9 {
 		t.Errorf("scaled rate = %v, want 0.25", s.Rate())
 	}
+	if s.p[0] != 0.1*0.5 {
+		t.Errorf("scaled P = %v, want %v", s.p[0], 0.1*0.5)
+	}
+	// The generators passed in must be untouched.
+	if gens[0].Choices[0].P != 0.1 {
+		t.Error("StochasticAtRate mutated its input")
+	}
 	// Scaling beyond probability-1 per generator must fail.
 	if _, err := StochasticAtRate(m, gens, 12); err == nil {
 		t.Error("impossible rate accepted")
+	}
+	if _, err := StochasticAtRate(m, gens, -1); err == nil {
+		t.Error("negative rate accepted")
 	}
 	// Zero base rate must fail.
 	if _, err := StochasticAtRate(m, singleHopGens(5, 0), 0.1); err == nil {
@@ -113,24 +123,59 @@ func TestStochasticAtRate(t *testing.T) {
 	}
 }
 
-func TestScaleGenerators(t *testing.T) {
-	gens := singleHopGens(2, 0.4)
-	scaled, err := ScaleGenerators(gens, 2)
-	if err != nil {
-		t.Fatal(err)
+// referenceStep is the per-generator sampling loop the flat arrays
+// must reproduce draw for draw.
+func referenceStep(gens []Generator, nextID *int64, t int64, rng *rand.Rand) []Packet {
+	var out []Packet
+	for _, g := range gens {
+		u := rng.Float64()
+		for _, c := range g.Choices {
+			if u < c.P {
+				*nextID++
+				out = append(out, Packet{ID: *nextID, Path: c.Path, Injected: t})
+				break
+			}
+			u -= c.P
+		}
 	}
-	if scaled[0].Choices[0].P != 0.8 {
-		t.Errorf("scaled P = %v, want 0.8", scaled[0].Choices[0].P)
+	return out
+}
+
+// TestStochasticStepMatchesReference runs both Step loops, the one for
+// single-choice generators and the general one (generators with no,
+// one and several choices), against the reference loop.
+func TestStochasticStepMatchesReference(t *testing.T) {
+	path := func(e int) netgraph.Path { return netgraph.Path{netgraph.LinkID(e)} }
+	mixed := []Generator{
+		{},
+		{Choices: []PathChoice{{Path: path(0), P: 0.3}}},
+		{Choices: []PathChoice{{Path: path(1), P: 0.2}, {Path: path(2), P: 0.5}}},
+		{Choices: []PathChoice{{Path: path(0), P: 0.1}, {Path: path(1), P: 0.1}, {Path: path(2), P: 0.1}}},
 	}
-	// The original must be untouched.
-	if gens[0].Choices[0].P != 0.4 {
-		t.Error("ScaleGenerators mutated input")
-	}
-	if _, err := ScaleGenerators(gens, 3); err == nil {
-		t.Error("over-scaling accepted")
-	}
-	if _, err := ScaleGenerators(gens, -1); err == nil {
-		t.Error("negative scaling accepted")
+	for name, gens := range map[string][]Generator{"single": singleHopGens(3, 0.4), "mixed": mixed} {
+		s, err := NewStochastic(interference.Identity{Links: 3}, gens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.single != (name == "single") {
+			t.Fatalf("%s: single = %v", name, s.single)
+		}
+		got, want := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+		var refID int64
+		for slot := int64(0); slot < 2000; slot++ {
+			a, b := s.Step(slot, got), referenceStep(gens, &refID, slot, want)
+			if len(a) != len(b) {
+				t.Fatalf("%s slot %d: %d packets, want %d", name, slot, len(a), len(b))
+			}
+			for i := range a {
+				if a[i].ID != b[i].ID || a[i].Injected != b[i].Injected || a[i].Path[0] != b[i].Path[0] {
+					t.Fatalf("%s slot %d: packet %+v, want %+v", name, slot, a[i], b[i])
+				}
+			}
+		}
+		if got.Int63() != want.Int63() {
+			t.Fatalf("%s: the two loops drew different numbers of values", name)
+		}
 	}
 }
 

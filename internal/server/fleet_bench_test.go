@@ -61,7 +61,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				id := benchSubmitSweep(b, ts, fmt.Sprintf("fleet-bench-%d-%d", workers, n), lambdas)
-				benchWaitDone(b, ts, id)
+				waitForState(b, ts, id, StateDone)
 			}
 			b.StopTimer()
 			units := float64(64 * b.N)
@@ -95,31 +95,4 @@ func benchSubmitSweep(b *testing.B, ts *httptest.Server, name string, lambdas []
 		b.Fatal(err)
 	}
 	return view.ID
-}
-
-func benchWaitDone(b *testing.B, ts *httptest.Server, id string) {
-	b.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var view JobView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		switch view.State {
-		case StateDone:
-			return
-		case StateFailed:
-			b.Fatalf("benchmark job failed: %s", view.Error)
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("job %s did not finish (state %s)", id, view.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }

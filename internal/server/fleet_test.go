@@ -28,11 +28,7 @@ func startRunner(t *testing.T, ts *httptest.Server, cfg RunnerConfig) *Runner {
 	go func() { defer close(done); _ = r.Run(ctx) }()
 	t.Cleanup(func() {
 		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("runner did not stop")
-		}
+		<-done // a runner that never stops hangs the test into go test -timeout
 	})
 	return r
 }

@@ -456,14 +456,15 @@ func TestRecoveryFailsSpecThatNoLongerValidates(t *testing.T) {
 		},
 		{
 			// The spec's hash while "cell" was a model field; without
-			// it the spec hashes to ee8726e6….
-			hash: "5d6264f4194c20179dcffb137ddeff2fc86fcc7d5e801d817cc5890914f5152b",
+			// it the spec hashes to 4df3e4d9….
+			hash: "497513e7445e679a42f1053508eb94b22016b155d4f51700afa8137c50e4ce86",
 			spec: map[string]any{
-				"name":  "legacy-cell",
-				"model": map[string]any{"kind": "sinr-uniform", "backing": "indexed", "cell": 2},
-				"sim":   map[string]any{"slots": 1_000, "seed": 1},
+				"name":    "legacy-cell",
+				"network": map[string]any{"topology": "pairs", "links": 4},
+				"model":   map[string]any{"kind": "sinr-uniform", "backing": "indexed", "cell": 2},
+				"sim":     map[string]any{"slots": 1_000, "seed": 1},
 			},
-			want: "re-planned spec hashes to ee8726e6",
+			want: "re-planned spec hashes to 4df3e4d9",
 		},
 	}
 	for i, rec := range legacy {

@@ -78,7 +78,7 @@ func submitScenario(t *testing.T, ts *httptest.Server, sc dynsched.Scenario) (in
 	return submitJSON(t, ts, string(body))
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
+func getJob(t testing.TB, ts *httptest.Server, id string) JobView {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
@@ -96,7 +96,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
 }
 
 // streamEvents follows the job's NDJSON stream to its terminal event.
-func streamEvents(t *testing.T, ts *httptest.Server, id string) []Event {
+func streamEvents(t testing.TB, ts *httptest.Server, id string) []Event {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
 	if err != nil {
@@ -128,7 +128,7 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) []Event {
 // read afterwards is already terminal. StateRunning is polled. A job
 // that turns terminal in another state fails the test; a hang is
 // bounded by go test -timeout, which dumps every goroutine.
-func waitForState(t *testing.T, ts *httptest.Server, id string, want State) JobView {
+func waitForState(t testing.TB, ts *httptest.Server, id string, want State) JobView {
 	t.Helper()
 	for {
 		view := getJob(t, ts, id)
@@ -380,6 +380,29 @@ func TestServerSubmissionErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status %s", resp.Status)
+	}
+}
+
+// TestServerRejectsSpecWithoutNetwork: a spec with no links or nodes
+// fails the submission with a 400 and its reason. Compiling it used to
+// panic in the path builder, and the client got no response at all.
+func TestServerRejectsSpecWithoutNetwork(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1, QueueDepth: 4})
+	body := `{"scenario":{"name":"x","model":{"kind":"identity"},"sim":{"slots":2000}}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), "needs at least 2 nodes") {
+		t.Fatalf("error %q does not give the reason", msg)
 	}
 }
 

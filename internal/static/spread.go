@@ -77,7 +77,7 @@ func (s Spread) NewExecution(m interference.Model, reqs []Request) Execution {
 		pending:   newPendingSet(m.NumLinks(), reqs),
 		c:         s.slotsPerUnit(),
 		roundMeas: meas,
-		delays:    make([]int, len(reqs)),
+		delays:    make([]int32, len(reqs)),
 	}
 	return e
 }
@@ -101,6 +101,9 @@ func (s Spread) RecycleExecution(prev Execution, m interference.Model, reqs []Re
 	return e
 }
 
+// spreadExec runs one Spread instance. Each round draws every pending
+// request's slot up front and counting-sorts the requests into a
+// calendar, so a slot touches only the requests due in it.
 type spreadExec struct {
 	model   interference.Model
 	reqs    []Request
@@ -110,9 +113,15 @@ type spreadExec struct {
 	roundMeas float64 // target residual measure of the current round
 	roundLen  int     // slots in the current round, 0 before assignment
 	slot      int     // next slot offset within the current round
-	delays    []int   // request index → chosen slot in current round
 	inTail    bool
 	tailP     float64
+
+	// The round's calendar: delays[idx] is request idx's drawn slot, and
+	// cal[calStart[s]:calStart[s+1]] lists the requests due at slot s in
+	// link order. int32 holds delays and calendar to 8 bytes per request.
+	delays   []int32
+	calStart []int32
+	cal      []int32
 
 	// out and perm are Attempts scratch, reused across slots.
 	out  []int
@@ -133,11 +142,35 @@ func (e *spreadExec) startRound(rng *rand.Rand) {
 	}
 	e.roundLen = int(math.Ceil(e.c * e.roundMeas))
 	e.slot = 0
-	for link := range e.pending.byLink {
-		for _, idx := range e.pending.byLink[link] {
-			e.delays[idx] = rng.Intn(e.roundLen)
+	// One draw per pending request, links in order and each link's
+	// requests in byLink order: the order is part of the random stream
+	// that every result depends on.
+	start := resizeInts(e.calStart, e.roundLen+1)
+	clear(start)
+	for _, onLink := range e.pending.byLink {
+		for _, idx := range onLink {
+			d := int32(rng.Intn(e.roundLen))
+			e.delays[idx] = d
+			start[d+1]++
 		}
 	}
+	for s := 1; s <= e.roundLen; s++ {
+		start[s] += start[s-1]
+	}
+	// Stable placement in the same order leaves every bucket in link
+	// order; start[s] advances from the begin to the end of bucket s,
+	// and the shift below restores the begins.
+	cal := resizeInts(e.cal, e.pending.pending)
+	for _, onLink := range e.pending.byLink {
+		for _, idx := range onLink {
+			d := e.delays[idx]
+			cal[start[d]] = int32(idx)
+			start[d]++
+		}
+	}
+	copy(start[1:], start[:e.roundLen])
+	start[0] = 0
+	e.calStart, e.cal = start, cal
 }
 
 func (e *spreadExec) Attempts(rng *rand.Rand) []int {
@@ -154,16 +187,32 @@ func (e *spreadExec) Attempts(rng *rand.Rand) []int {
 	if e.inTail {
 		return e.tailAttempts(rng)
 	}
+	p := e.pending
+	due := e.cal[e.calStart[e.slot]:e.calStart[e.slot+1]]
 	out := e.out[:0]
-	for link := range e.pending.byLink {
-		onLink := 0
-		for _, idx := range e.pending.byLink[link] {
-			if e.delays[idx] == e.slot {
-				out = append(out, idx)
-				if onLink++; onLink == 2 {
-					break // two are enough to register the collision
-				}
+	for i := 0; i < len(due); {
+		// One run of due requests per link. Emit its two pending
+		// requests of smallest current position, in that order: the
+		// link's byLink order, which swap-removes permute mid-round.
+		// Two are enough to register the collision.
+		link := p.links[due[i]]
+		first, second := -1, -1
+		for ; i < len(due) && p.links[due[i]] == link; i++ {
+			idx := int(due[i])
+			at := p.pos[idx]
+			switch {
+			case at < 0: // served earlier in the round
+			case first < 0 || at < p.pos[first]:
+				first, second = idx, first
+			case second < 0 || at < p.pos[second]:
+				second = idx
 			}
+		}
+		if first >= 0 {
+			out = append(out, first)
+		}
+		if second >= 0 {
+			out = append(out, second)
 		}
 	}
 	e.out = out

@@ -208,13 +208,13 @@ func (p *pendingSet) reset(numLinks int, reqs []Request) {
 // geometric (at least double), so a buffer resized to a slowly climbing
 // n across frames reallocates O(log n) times rather than once per
 // frame.
-func resizeInts(buf []int, n int) []int {
+func resizeInts[T int | int32](buf []T, n int) []T {
 	if cap(buf) < n {
 		c := 2 * cap(buf)
 		if c < n {
 			c = n
 		}
-		return make([]int, n, c)
+		return make([]T, n, c)
 	}
 	return buf[:n]
 }

@@ -372,6 +372,9 @@ func (s Scenario) Validate() error {
 	if s.Model.FarFloor > 0 && s.Model.Backing != "indexed" {
 		return fmt.Errorf("dynsched: scenario %q: model farFloor %v needs the indexed backing", s.Name, s.Model.FarFloor)
 	}
+	if err := s.options().CheckNetwork(); err != nil {
+		return fmt.Errorf("dynsched: scenario %q: %v", s.Name, err)
+	}
 	if s.Network.Generator != nil {
 		if s.Network.Topology != "generator" {
 			return fmt.Errorf("dynsched: scenario %q: a network generator needs topology \"generator\", got %q", s.Name, s.Network.Topology)

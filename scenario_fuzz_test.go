@@ -30,6 +30,7 @@ func FuzzParseScenario(f *testing.F) {
 		"{\"name\":\"\x00\",\"sim\":{\"slots\":10}}",
 		`{"name":"x","sim":{"slots":10}`,
 		`{"name":"x","network":{"nodes":99999999999999999999}}`,
+		`{"name":"x","model":{"kind":"identity"},"sim":{"slots":2000}}`,
 		`{"name":"golden","description":"pinned fingerprint fixture","network":{"topology":"line","nodes":6,"hops":5},"model":{"kind":"identity","loss":0.1},"traffic":{"pattern":"stochastic","lambda":0.35},"protocol":{"alg":"full-parallel","eps":0.25},"sim":{"slots":50000,"seed":7,"warmupFrac":0.1},"sweep":{}}`,
 		// Grid-sweep specs: the multi-axis SweepSpec surface is fuzzed
 		// from day one — valid grids, duplicate axes, empty value lists,
