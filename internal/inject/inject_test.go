@@ -103,23 +103,37 @@ func TestStochasticAtRate(t *testing.T) {
 	if math.Abs(s.Rate()-0.25) > 1e-9 {
 		t.Errorf("scaled rate = %v, want 0.25", s.Rate())
 	}
-	if s.p[0] != 0.1*0.5 {
-		t.Errorf("scaled P = %v, want %v", s.p[0], 0.1*0.5)
-	}
-	// The generators passed in must be untouched.
-	if gens[0].Choices[0].P != 0.1 {
-		t.Error("StochasticAtRate mutated its input")
-	}
 	// Scaling beyond probability-1 per generator must fail.
 	if _, err := StochasticAtRate(m, gens, 12); err == nil {
 		t.Error("impossible rate accepted")
 	}
-	if _, err := StochasticAtRate(m, gens, -1); err == nil {
-		t.Error("negative rate accepted")
-	}
 	// Zero base rate must fail.
 	if _, err := StochasticAtRate(m, singleHopGens(5, 0), 0.1); err == nil {
 		t.Error("zero base rate accepted")
+	}
+}
+
+// TestScaleGenerators checks the probability scaling StochasticAtRate
+// applies in place to its flattened copy of the choices.
+func TestScaleGenerators(t *testing.T) {
+	m := interference.Identity{Links: 2}
+	gens := singleHopGens(2, 0.4) // base rate 0.4
+	s, err := StochasticAtRate(m, gens, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.p[0] != 0.8 {
+		t.Errorf("scaled P = %v, want 0.8", s.p[0])
+	}
+	// The generators passed in must be untouched.
+	if gens[0].Choices[0].P != 0.4 {
+		t.Error("StochasticAtRate mutated its input")
+	}
+	if _, err := StochasticAtRate(m, gens, 1.2); err == nil {
+		t.Error("over-scaling accepted")
+	}
+	if _, err := StochasticAtRate(m, gens, -0.4); err == nil {
+		t.Error("negative scaling accepted")
 	}
 }
 
